@@ -85,11 +85,11 @@ int main() {
   }
 
   // Timing: the same coarse sweep (21 thresholds x 200 instances) through
-  // three pipelines.  "legacy" re-sorts per protocol (the original
-  // pipeline), "shared" sorts once per instance and fans out clear_sorted,
-  // "kernel" ranks + prefix-sums once per instance and answers each
-  // threshold with two binary searches.  All three agree on the curve
-  // (the sim tests check exactness); only the work differs.
+  // two pipelines.  "run_comparison" sorts once per instance and fans out
+  // clear_sorted, validating and scoring every clearing; "kernel" ranks +
+  // prefix-sums once per instance and answers each threshold with two
+  // binary searches.  Both agree on the curve (the sim tests check
+  // exactness); only the work differs.
   {
     std::cout << "\n== Sweep timing: 21 thresholds x 200 instances, n = m = "
               << kParticipants << " ==\n";
@@ -105,13 +105,6 @@ int main() {
       return std::chrono::duration<double, std::milli>(stop - start).count();
     };
 
-    sweep_config.shared_sort = false;
-    const double legacy_ms = time_ms([&] {
-      const ComparisonResult r = run_comparison(gen, pointers, sweep_config);
-      volatile double sink = r.pareto.mean();
-      (void)sink;
-    });
-    sweep_config.shared_sort = true;
     const double shared_ms = time_ms([&] {
       const ComparisonResult r = run_comparison(gen, pointers, sweep_config);
       volatile double sink = r.pareto.mean();
@@ -128,12 +121,9 @@ int main() {
       volatile double keep = sink;
       (void)keep;
     });
-    std::cout << "legacy (per-protocol sort): " << format_fixed(legacy_ms, 1)
-              << " ms\n"
-              << "shared sort-once:           " << format_fixed(shared_ms, 1)
-              << " ms  (" << format_fixed(legacy_ms / shared_ms, 1) << "x)\n"
-              << "sweep kernel:               " << format_fixed(kernel_ms, 1)
-              << " ms  (" << format_fixed(legacy_ms / kernel_ms, 1) << "x)\n";
+    std::cout << "run_comparison: " << format_fixed(shared_ms, 1) << " ms\n"
+              << "sweep kernel:   " << format_fixed(kernel_ms, 1) << " ms  ("
+              << format_fixed(shared_ms / kernel_ms, 1) << "x)\n";
   }
   return 0;
 }

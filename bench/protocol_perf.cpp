@@ -143,11 +143,11 @@ void BM_SharedSortClear(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * per_side));
 }
 
-/// Figure-1 coarse sweep, old style: 21 TpdProtocol instances pushed
-/// through run_comparison on the legacy per-protocol-sort path (the
-/// original pipeline).  Items are threshold-evaluations (21 x instances)
-/// in all three Figure1Sweep benches.
-void figure1_sweep_comparison(benchmark::State& state, bool shared_sort) {
+/// Figure-1 coarse sweep through the experiment runner: 21 TpdProtocol
+/// instances pushed through run_comparison, which ranks each instance
+/// once and validates and scores every clearing.  Items are
+/// threshold-evaluations (21 x instances) in both Figure1Sweep benches.
+void BM_Figure1SweepShared(benchmark::State& state) {
   const auto per_side = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kInstances = 200;
   std::vector<std::unique_ptr<TpdProtocol>> protocols;
@@ -160,7 +160,6 @@ void figure1_sweep_comparison(benchmark::State& state, bool shared_sort) {
   ExperimentConfig config;
   config.instances = kInstances;
   config.seed = 31337;
-  config.shared_sort = shared_sort;
   for (auto _ : state) {
     const ComparisonResult result = run_comparison(gen, pointers, config);
     benchmark::DoNotOptimize(result.pareto.mean());
@@ -168,13 +167,6 @@ void figure1_sweep_comparison(benchmark::State& state, bool shared_sort) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(pointers.size()) *
                           static_cast<std::int64_t>(kInstances));
-}
-
-void BM_Figure1SweepLegacy(benchmark::State& state) {
-  figure1_sweep_comparison(state, /*shared_sort=*/false);
-}
-void BM_Figure1SweepShared(benchmark::State& state) {
-  figure1_sweep_comparison(state, /*shared_sort=*/true);
 }
 
 /// Figure-1 coarse sweep through the incremental kernel: each instance is
@@ -277,8 +269,6 @@ BENCHMARK(BM_TpdMultiClear)->Arg(10)->Arg(100)->Arg(500);
 BENCHMARK(BM_SortedBookConstruction)->Arg(100)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_LegacyFourProtocolClear)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_SharedSortClear)->Arg(1000)->Arg(4000);
-BENCHMARK(BM_Figure1SweepLegacy)->Arg(100)->Arg(500)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Figure1SweepShared)->Arg(100)->Arg(500)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Figure1SweepKernel)->Arg(100)->Arg(500)

@@ -34,6 +34,12 @@ struct InstantiatedMarket {
 /// never collide.
 InstantiatedMarket instantiate_truthful(const SingleUnitInstance& instance);
 
+/// The book half of instantiate_truthful, written into `book` (reset to
+/// the instance's domain, its capacity reused): same bids, same ids, same
+/// identities, no TrueValuations maps.  Score its outcomes with the
+/// identity-indexed realized_surplus(outcome, instance).
+void build_truthful_book(const SingleUnitInstance& instance, OrderBook& book);
+
 /// Identity-space split between buyer and seller lanes (and, above
 /// kExtraIdentityBase, identities minted for false-name declarations).
 inline constexpr std::uint64_t kSellerIdentityBase = 1'000'000;

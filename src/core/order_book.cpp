@@ -6,10 +6,16 @@
 
 namespace fnda {
 
-OrderBook::OrderBook(ValueDomain domain) : domain_(domain) {
-  if (!(domain_.lowest < domain_.highest)) {
+OrderBook::OrderBook(ValueDomain domain) { reset(domain); }
+
+void OrderBook::reset(ValueDomain domain) {
+  if (!(domain.lowest < domain.highest)) {
     throw std::invalid_argument("OrderBook: domain must satisfy lowest < highest");
   }
+  domain_ = domain;
+  buyers_.clear();
+  sellers_.clear();
+  next_bid_ = 0;
 }
 
 BidId OrderBook::add(Side side, IdentityId identity, Money value) {

@@ -35,6 +35,10 @@ class OrderBook {
  public:
   explicit OrderBook(ValueDomain domain = {});
 
+  /// Empties the book for reuse under `domain`, keeping the lanes'
+  /// capacity; bid ids restart at 0, exactly as in a fresh book.
+  void reset(ValueDomain domain);
+
   /// Records a declaration and returns its book-unique bid ID.
   /// Values outside the domain are clamped-free: they are rejected with
   /// std::invalid_argument, since a declaration the domain cannot price is

@@ -2,31 +2,39 @@
 
 #include <stdexcept>
 
+#include "core/instance.h"
+
 namespace fnda {
 namespace {
+
+[[noreturn]] void throw_missing(const char* side) {
+  throw std::out_of_range(std::string("realized_surplus: no true ") + side +
+                          " valuation for a filled identity");
+}
 
 Money lookup(const std::unordered_map<IdentityId, Money>& values,
              IdentityId identity, const char* side) {
   auto it = values.find(identity);
-  if (it == values.end()) {
-    throw std::out_of_range(std::string("realized_surplus: no true ") + side +
-                            " valuation for a filled identity");
-  }
+  if (it == values.end()) throw_missing(side);
   return it->second;
 }
 
-}  // namespace
+Money lookup(const std::vector<Money>& values, std::uint64_t index,
+             const char* side) {
+  if (index >= values.size()) throw_missing(side);
+  return values[index];
+}
 
-SurplusReport realized_surplus(const Outcome& outcome,
-                               const TrueValuations& truth) {
+/// The one surplus computation both overloads share; `true_value(fill)`
+/// resolves a fill's true valuation (or throws).
+template <typename TrueValue>
+SurplusReport score_fills(const Outcome& outcome, TrueValue true_value) {
   SurplusReport report;
   for (const Fill& fill : outcome.fills()) {
     if (fill.side == Side::kBuyer) {
-      const Money value = lookup(truth.buyer_values, fill.identity, "buyer");
-      report.buyers += (value - fill.price).to_double();
+      report.buyers += (true_value(fill) - fill.price).to_double();
     } else {
-      const Money value = lookup(truth.seller_values, fill.identity, "seller");
-      report.sellers += (fill.price - value).to_double();
+      report.sellers += (fill.price - true_value(fill)).to_double();
     }
   }
   report.auctioneer = outcome.auctioneer_revenue().to_double();
@@ -36,6 +44,30 @@ SurplusReport realized_surplus(const Outcome& outcome,
       report.buyers + report.sellers + outcome.rebates_total().to_double();
   report.total = report.except_auctioneer + report.auctioneer;
   return report;
+}
+
+}  // namespace
+
+SurplusReport realized_surplus(const Outcome& outcome,
+                               const TrueValuations& truth) {
+  return score_fills(outcome, [&truth](const Fill& fill) {
+    return fill.side == Side::kBuyer
+               ? lookup(truth.buyer_values, fill.identity, "buyer")
+               : lookup(truth.seller_values, fill.identity, "seller");
+  });
+}
+
+SurplusReport realized_surplus(const Outcome& outcome,
+                               const SingleUnitInstance& instance) {
+  return score_fills(outcome, [&instance](const Fill& fill) {
+    const std::uint64_t identity = fill.identity.value();
+    if (fill.side == Side::kBuyer) {
+      return lookup(instance.buyer_values, identity, "buyer");
+    }
+    // Identities below the seller base wrap to huge indices and miss.
+    return lookup(instance.seller_values, identity - kSellerIdentityBase,
+                  "seller");
+  });
 }
 
 double efficient_surplus(const SortedBook& true_value_book) {

@@ -44,6 +44,19 @@ struct SurplusReport {
 SurplusReport realized_surplus(const Outcome& outcome,
                                const TrueValuations& truth);
 
+struct SingleUnitInstance;  // core/instance.h
+
+/// The same report for an outcome cleared from `instance`'s truthful book
+/// (instantiate_truthful / build_truthful_book), looked up by identity
+/// index instead of hashing: buyer identity i is worth buyer_values[i],
+/// seller identity kSellerIdentityBase + j is worth seller_values[j].
+/// Fills are summed in the same order with the same arithmetic, so the
+/// report is bit-identical to the TrueValuations overload; an identity
+/// outside the instance throws std::out_of_range just as a missing map
+/// entry does.
+SurplusReport realized_surplus(const Outcome& outcome,
+                               const SingleUnitInstance& instance);
+
 /// The Pareto-efficient surplus of a book of *true* values: buyers/sellers
 /// (1)..(k) trade, k per SortedBook::efficient_trade_count().
 double efficient_surplus(const SortedBook& true_value_book);

@@ -31,48 +31,45 @@ namespace {
 
 constexpr std::uint64_t kStreamGamma = 0x9e3779b97f4a7c15ULL;
 
-/// Per-worker reusable buffers: the shared ranking is rebuilt in place
-/// each instance, so steady-state clearing allocates only the outcomes.
+/// Per-worker reusable buffers: the truthful book, its ranking and the
+/// validation lookup arrays are rebuilt in place each instance, so
+/// steady-state clearing allocates only the outcomes.
 struct ClearScratch {
+  OrderBook book;
   SortedBook sorted;
+  ValidationScratch validation;
 };
 
 /// Scores one instance into `result` (accumulators only; caller provides
 /// the rng streams so sequential and parallel paths can differ in how
 /// they derive them).
 ///
-/// Shared-sort path: `market.book` is ranked once from `pareto_rng` and
-/// the resulting SortedBook feeds the Pareto surplus AND every protocol's
+/// The truthful book is ranked once from `pareto_rng` and the resulting
+/// SortedBook feeds the Pareto surplus AND every protocol's
 /// `clear_sorted`; protocol p draws its internal randomness from a stream
-/// split off `clear_seed` by index.  Legacy path: the Pareto book is
-/// sorted from `pareto_rng` and every protocol re-sorts from an identical
-/// Rng(clear_seed) (common random numbers), exactly the original
-/// pipeline.
+/// split off `clear_seed` by index.  No hashing: every outcome is
+/// validated against the ranking through the dense id-indexed overload,
+/// and fills are scored by identity index into the instance's values.
 void score_instance(const SingleUnitInstance& instance,
                     const std::vector<const DoubleAuctionProtocol*>& protocols,
                     const ExperimentConfig& config, Rng& pareto_rng,
                     std::uint64_t clear_seed, ClearScratch& scratch,
                     ComparisonResult& result) {
-  const InstantiatedMarket market = instantiate_truthful(instance);
-  scratch.sorted.rebuild(market.book, pareto_rng);
+  build_truthful_book(instance, scratch.book);
+  scratch.sorted.rebuild(scratch.book, pareto_rng);
   const SortedBook& true_book = scratch.sorted;
   result.pareto.add(efficient_surplus(true_book));
   result.pareto_trades.add(
       static_cast<double>(true_book.efficient_trade_count()));
 
   for (std::size_t p = 0; p < protocols.size(); ++p) {
-    Outcome outcome;
-    if (config.shared_sort) {
-      Rng clear_rng(clear_seed ^ (kStreamGamma * (p + 1)));
-      outcome = protocols[p]->clear_sorted(true_book, clear_rng);
-    } else {
-      Rng clear_rng(clear_seed);
-      outcome = protocols[p]->clear(market.book, clear_rng);
-    }
+    Rng clear_rng(clear_seed ^ (kStreamGamma * (p + 1)));
+    const Outcome outcome = protocols[p]->clear_sorted(true_book, clear_rng);
     if (config.validate) {
-      expect_valid_outcome(market.book, outcome, config.validation);
+      expect_valid_outcome(true_book, outcome, scratch.validation,
+                           config.validation);
     }
-    const SurplusReport surplus = realized_surplus(outcome, market.truth);
+    const SurplusReport surplus = realized_surplus(outcome, instance);
     ProtocolSummary& summary = result.protocols[p];
     summary.total.add(surplus.total);
     summary.except_auctioneer.add(surplus.except_auctioneer);
@@ -182,7 +179,7 @@ ComparisonResult run_comparison(
     const SingleUnitInstance instance = generator(rng);
     // The Pareto benchmark uses the true-value ranking (declared == true
     // here, since the experiment assumes no false-name bids, Section 7);
-    // under shared_sort the same ranking also feeds every protocol.
+    // the same ranking also feeds every protocol.
     Rng pareto_rng = rng.split();
     const std::uint64_t clear_seed = rng();
     score_instance(instance, protocols, config, pareto_rng, clear_seed,

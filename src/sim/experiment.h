@@ -23,17 +23,6 @@ struct ExperimentConfig {
   bool validate = true;
   /// Relaxations for deliberately invariant-breaking protocols (VCG).
   ValidationOptions validation{};
-  /// Sort-once fast path (default): each instance's book is ranked
-  /// exactly once and that SortedBook is shared by the Pareto surplus
-  /// computation and every protocol's `clear_sorted`, with per-protocol
-  /// rng streams derived from the instance seed.  When false, the legacy
-  /// path re-sorts per protocol from a common tie-break stream — kept so
-  /// the paper-reproduction numbers can always be cross-checked against
-  /// the original pipeline.  For the deterministic protocols (TPD, PMD,
-  /// efficient, kDA, VCG) the two paths produce identical per-instance
-  /// surpluses; they may differ in which same-valued bid fills (tie
-  /// permutations only).
-  bool shared_sort = true;
 };
 
 /// Aggregated results for one protocol across all instances.
@@ -59,8 +48,11 @@ struct ComparisonResult {
 
 /// Runs `config.instances` draws of `generator`, clearing each with every
 /// protocol in `protocols` (non-owning pointers; all must outlive the call).
-/// The instance stream is a function of `config.seed` alone and is
-/// identical under both the shared-sort and legacy paths.
+/// Each instance's book is ranked exactly once and that SortedBook is
+/// shared by the Pareto surplus computation and every protocol's
+/// `clear_sorted`, with per-protocol rng streams derived from the
+/// instance seed.  The instance stream is a function of `config.seed`
+/// alone.
 ComparisonResult run_comparison(
     const InstanceGenerator& generator,
     const std::vector<const DoubleAuctionProtocol*>& protocols,

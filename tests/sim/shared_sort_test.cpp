@@ -3,10 +3,7 @@
 //     every protocol (the wrapper contract of DoubleAuctionProtocol),
 //   * the incremental TPD sweep kernel must match TpdProtocol::clear
 //     EXACTLY (fixed-point equality) threshold by threshold,
-//   * run_comparison_parallel stays bit-identical across thread counts on
-//     both the shared-sort and legacy paths,
-//   * the legacy path and the shared path agree exactly on the
-//     deterministic protocols' surplus means (the Table 1/2 numbers),
+//   * run_comparison_parallel stays bit-identical across thread counts,
 //   * validation failures inside worker threads still propagate.
 #include <gtest/gtest.h>
 
@@ -194,55 +191,18 @@ TEST(SharedSortTest, ParallelBitIdenticalAcrossThreadCounts) {
   const InstanceGenerator gen = fixed_count_generator(15, 15);
   const std::vector<std::string> names = {"tpd", "pmd", "random-threshold"};
 
-  for (const bool shared : {true, false}) {
-    ExperimentConfig config;
-    config.instances = 150;  // not a multiple of the block count
-    config.seed = 42;
-    config.shared_sort = shared;
-    const ComparisonResult one =
-        run_comparison_parallel(gen, protocols, config, 1);
-    const ComparisonResult two =
-        run_comparison_parallel(gen, protocols, config, 2);
-    const ComparisonResult eight =
-        run_comparison_parallel(gen, protocols, config, 8);
-    SCOPED_TRACE(shared ? "shared-sort path" : "legacy path");
-    EXPECT_EQ(one.pareto.count(), 150u);
-    expect_bit_identical(one, two, names);
-    expect_bit_identical(one, eight, names);
-  }
-}
-
-TEST(SharedSortTest, LegacyPathMatchesSharedMeansForDeterministicProtocols) {
-  // TPD/PMD/efficient surpluses are functions of the value ranking alone,
-  // and both paths accumulate fills in rank order — so the per-instance
-  // surplus sequences (and hence the Table 1/2 means) are EXACTLY equal,
-  // not merely statistically close.
-  const TpdProtocol tpd(money(50));
-  const PmdProtocol pmd;
-  const EfficientClearing efficient;
-  const std::vector<const DoubleAuctionProtocol*> protocols = {&tpd, &pmd,
-                                                               &efficient};
-  const InstanceGenerator gen = fixed_count_generator(20, 20);
-
-  ExperimentConfig shared;
-  shared.instances = 400;
-  shared.seed = 20010416;
-  shared.shared_sort = true;
-  ExperimentConfig legacy = shared;
-  legacy.shared_sort = false;
-
-  const ComparisonResult a = run_comparison(gen, protocols, shared);
-  const ComparisonResult b = run_comparison(gen, protocols, legacy);
-  for (const std::string name : {"tpd", "pmd", "efficient"}) {
-    EXPECT_DOUBLE_EQ(a.summary(name).total.mean(), b.summary(name).total.mean())
-        << name;
-    EXPECT_DOUBLE_EQ(a.summary(name).except_auctioneer.mean(),
-                     b.summary(name).except_auctioneer.mean())
-        << name;
-    EXPECT_DOUBLE_EQ(a.summary(name).trades.mean(), b.summary(name).trades.mean())
-        << name;
-  }
-  EXPECT_DOUBLE_EQ(a.pareto.mean(), b.pareto.mean());
+  ExperimentConfig config;
+  config.instances = 150;  // not a multiple of the block count
+  config.seed = 42;
+  const ComparisonResult one =
+      run_comparison_parallel(gen, protocols, config, 1);
+  const ComparisonResult two =
+      run_comparison_parallel(gen, protocols, config, 2);
+  const ComparisonResult eight =
+      run_comparison_parallel(gen, protocols, config, 8);
+  EXPECT_EQ(one.pareto.count(), 150u);
+  expect_bit_identical(one, two, names);
+  expect_bit_identical(one, eight, names);
 }
 
 /// Old-style protocol that overrides ONLY the raw-book entry point, to
