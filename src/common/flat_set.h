@@ -8,6 +8,7 @@
 // O(1) block free at teardown, and no allocation at all until first use.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -45,6 +46,13 @@ class FlatU64Set {
   }
 
   std::size_t size() const { return size_; }
+
+  /// Empties the set, keeping its slots for reuse.
+  void clear() {
+    if (size_ == 0) return;
+    std::fill(slots_.begin(), slots_.end(), kEmpty);
+    size_ = 0;
+  }
 
  private:
   static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};

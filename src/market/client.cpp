@@ -23,7 +23,9 @@ TradingClient::TradingClient(std::string address, AccountId account,
 
 void TradingClient::on_round_open(const RoundOpenMsg& msg) {
   // Heartbeat re-announcements repeat the same round; bid once per round.
-  if (!rounds_bid_.insert(msg.round.value())) return;
+  if (msg.round.value() < next_round_) return;
+  next_round_ = msg.round.value() + 1;
+  acked_.clear();
   ++rounds_seen_;
   if (deferred_) {
     pending_ = msg;

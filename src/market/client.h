@@ -7,6 +7,8 @@
 // whatever Strategy they were configured with.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -104,19 +106,30 @@ class TradingClient : public Endpoint {
   ClientConfig config_;
   Strategy strategy_;
 
+  /// Ids retained per dedup generation.  A duplicate carries its
+  /// original's message id and arrives within one latency window of it,
+  /// while a client receives a few dozen messages per round at most, so a
+  /// small window catches every duplicate — the bus default (65,536 per
+  /// generation) would let each client's filter grow towards 2 MB.
+  static constexpr std::size_t kDedupWindow = 64;
+
   std::vector<IdentityId> identities_;
   std::vector<FillNoticeMsg> fills_;
   AccountPosition position_;
-  DedupFilter dedup_;
+  DedupFilter dedup_{kDedupWindow};
   std::size_t accepted_ = 0;
   std::size_t rejected_ = 0;
   std::size_t rounds_seen_ = 0;
   std::size_t settlement_failures_ = 0;
   std::size_t retransmissions_ = 0;
-  /// Identities whose bid the server has acknowledged (either way).
+  /// This round's identities whose bid the server has acknowledged
+  /// (either way).  Cleared when the next round is announced: every
+  /// driver runs the exchange to quiescence before opening a round, so
+  /// no ack for an earlier round is still in flight by then.
   FlatU64Set acked_;
-  /// Rounds already bid in (round-open heartbeats repeat announcements).
-  FlatU64Set rounds_bid_;
+  /// Lowest round id not yet bid in: round-open heartbeats repeat
+  /// announcements, and a server's round ids only rise.
+  std::uint64_t next_round_ = 0;
   /// Deferred mode: latch announcements for submit_pending().
   bool deferred_ = false;
   std::optional<RoundOpenMsg> pending_;

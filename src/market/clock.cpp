@@ -45,7 +45,12 @@ void EventQueue::push(Entry entry) {
   if (bucket > cursor_) {
     if (bucket < horizon()) {
       const auto slot_index = static_cast<std::size_t>(bucket) & kWheelMask;
-      wheel_[slot_index].push_back(entry);
+      std::vector<Entry>& slot = wheel_[slot_index];
+      if (slot.capacity() == 0 && !spare_.empty()) {
+        slot = std::move(spare_.back());
+        spare_.pop_back();
+      }
+      slot.push_back(entry);
       mark_occupied(slot_index);
       ++wheel_count_;
     } else {
@@ -166,7 +171,14 @@ bool EventQueue::ensure_ready() {
     instant_[offset].push_back(entry);
     instant_occupied_[offset >> 6] |= std::uint64_t{1} << (offset & 63);
   }
+  // The drained buffer goes to the spare pool (or is freed when the pool
+  // is full); either way the slot is left without capacity.
   bucket.clear();
+  if (spare_.size() < kSpareBuckets) {
+    spare_.push_back(std::move(bucket));  // leaves `bucket` empty
+  } else {
+    std::vector<Entry>().swap(bucket);
+  }
   return true;
 }
 

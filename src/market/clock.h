@@ -125,6 +125,11 @@ class EventQueue {
   static constexpr std::size_t kWheelSlots = std::size_t{1} << kWheelBits;
   static constexpr std::size_t kWheelMask = kWheelSlots - 1;
   static constexpr std::size_t kBitmapWords = kWheelSlots / 64;
+  /// Drained bucket buffers kept for reuse.  A wheel slot gives its
+  /// buffer back when drained and draws one when it next receives an
+  /// entry, so the capacity the wheel retains follows the buckets in
+  /// flight, not every slot a drifting schedule ever visited.
+  static constexpr std::size_t kSpareBuckets = 64;
 
   /// 24-byte POD: wheel moves and instant distribution are memcpy-class.
   /// No sequence number is stored — insertion order is preserved
@@ -175,6 +180,7 @@ class EventQueue {
   std::vector<Action> actions_;          // side slab for callbacks
   std::vector<std::uint32_t> action_free_;
   std::array<std::vector<Entry>, kWheelSlots> wheel_;
+  std::vector<std::vector<Entry>> spare_;  // drained buffers, see above
   std::array<std::uint64_t, kBitmapWords> occupied_{};
   std::map<std::int64_t, std::vector<Entry>> overflow_;
   // The bucket at cursor_ is drained through one list per microsecond

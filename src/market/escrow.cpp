@@ -1,5 +1,7 @@
 #include "market/escrow.h"
 
+#include <stdexcept>
+
 namespace fnda {
 
 void EscrowService::bind_metrics(obs::MetricsRegistry& registry) {
@@ -14,25 +16,33 @@ void EscrowService::bind_metrics(obs::MetricsRegistry& registry) {
 }
 
 void EscrowService::post(IdentityId identity, AccountId payer, Money amount) {
+  const std::size_t slot = registry_.ordinal(identity);
+  if (slot == IdentityRegistry::kNoOrdinal) {
+    throw std::out_of_range("EscrowService::post: identity outside namespace");
+  }
+  if (slot >= deposits_.size()) deposits_.resize(slot + 1);
   cash_.transfer(payer, escrow_account(), amount);
-  deposits_[identity] += amount;
+  deposits_[slot] += amount;
+  total_ += amount;
   if (posted_counter_ != nullptr) posted_counter_->add();
 }
 
 void EscrowService::refund(IdentityId identity, AccountId payee) {
-  auto it = deposits_.find(identity);
-  if (it == deposits_.end() || it->second == Money{}) return;
-  cash_.transfer(escrow_account(), payee, it->second);
-  it->second = Money{};
+  const std::size_t slot = registry_.ordinal(identity);
+  if (slot >= deposits_.size() || deposits_[slot] == Money{}) return;
+  cash_.transfer(escrow_account(), payee, deposits_[slot]);
+  total_ -= deposits_[slot];
+  deposits_[slot] = Money{};
   if (refunded_counter_ != nullptr) refunded_counter_->add();
 }
 
 Money EscrowService::confiscate(IdentityId identity, AccountId exchange) {
-  auto it = deposits_.find(identity);
-  if (it == deposits_.end() || it->second == Money{}) return Money{};
-  const Money seized = it->second;
+  const std::size_t slot = registry_.ordinal(identity);
+  if (slot >= deposits_.size() || deposits_[slot] == Money{}) return Money{};
+  const Money seized = deposits_[slot];
   cash_.transfer(escrow_account(), exchange, seized);
-  it->second = Money{};
+  total_ -= seized;
+  deposits_[slot] = Money{};
   if (seized_counter_ != nullptr) {
     seized_counter_->add();
     seized_micros_counter_->add(static_cast<std::uint64_t>(seized.micros()));
@@ -41,22 +51,17 @@ Money EscrowService::confiscate(IdentityId identity, AccountId exchange) {
 }
 
 Money EscrowService::held(IdentityId identity) const {
-  auto it = deposits_.find(identity);
-  return it == deposits_.end() ? Money{} : it->second;
+  const std::size_t slot = registry_.ordinal(identity);
+  return slot < deposits_.size() ? deposits_[slot] : Money{};
 }
 
 std::vector<IdentityId> EscrowService::identities_with_deposits() const {
   std::vector<IdentityId> result;
-  for (const auto& [identity, amount] : deposits_) {
-    if (amount > Money{}) result.push_back(identity);
+  for (std::size_t slot = 0; slot < deposits_.size(); ++slot) {
+    if (deposits_[slot] <= Money{}) continue;
+    result.push_back(registry_.identity_at(slot));
   }
   return result;
-}
-
-Money EscrowService::total_held() const {
-  Money sum;
-  for (const auto& [identity, amount] : deposits_) sum += amount;
-  return sum;
 }
 
 }  // namespace fnda

@@ -8,13 +8,18 @@
 // Deposits are posted per identity (the server cannot tell identities
 // apart, so it must charge each one).  Confiscated deposits go to the
 // exchange account.
+//
+// Every identity ever minted keeps its slot, so the table is dense and
+// indexed by the identity's mint ordinal in the shard's registry: one
+// Money per identity, no hashing, and market-close sweeps run in mint
+// order.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/money.h"
+#include "market/identity.h"
 #include "market/ledger.h"
 #include "obs/metrics.h"
 
@@ -22,22 +27,31 @@ namespace fnda {
 
 class EscrowService {
  public:
-  explicit EscrowService(CashLedger& cash) : cash_(cash) {}
+  /// Escrow for the identities `registry` mints: the table is indexed by
+  /// their mint ordinals, so a strided shard namespace stays dense.
+  /// `registry` must outlive the escrow.
+  EscrowService(CashLedger& cash, const IdentityRegistry& registry)
+      : cash_(cash), registry_(registry) {}
 
   /// Moves `amount` from `payer`'s cash into escrow for `identity`.
-  /// Additional posts accumulate.
+  /// Additional posts accumulate.  Throws std::out_of_range for an
+  /// identity outside the registry's namespace.
   void post(IdentityId identity, AccountId payer, Money amount);
 
-  /// Returns the full deposit to `payee`'s cash.
+  /// Returns the full deposit to `payee`'s cash (no-op without one).
   void refund(IdentityId identity, AccountId payee);
 
-  /// Seizes the full deposit for the exchange.  Returns the amount seized.
+  /// Seizes the full deposit for the exchange.  Returns the amount seized
+  /// (zero without a deposit).
   Money confiscate(IdentityId identity, AccountId exchange);
 
+  /// The identity's deposit; zero for any identity that never posted.
   Money held(IdentityId identity) const;
-  Money total_held() const;
+  /// Sum of all deposits, kept as a running total (O(1)).
+  Money total_held() const { return total_; }
 
-  /// Identities currently holding a non-zero deposit (market-close sweep).
+  /// Identities currently holding a non-zero deposit (market-close
+  /// sweep), in ascending ordinal (= mint) order.
   std::vector<IdentityId> identities_with_deposits() const;
 
   /// Registers deposit-flow counters (posts, refunds, seizures — counts
@@ -46,7 +60,10 @@ class EscrowService {
 
  private:
   CashLedger& cash_;
-  std::unordered_map<IdentityId, Money> deposits_;
+  const IdentityRegistry& registry_;
+  /// Deposit per identity ordinal; grows to the highest ordinal posted.
+  std::vector<Money> deposits_;
+  Money total_;
 
   obs::Counter* posted_counter_ = nullptr;
   obs::Counter* refunded_counter_ = nullptr;

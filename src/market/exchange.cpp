@@ -1,17 +1,6 @@
 #include "market/exchange.h"
 
-#include <sstream>
 #include <stdexcept>
-
-namespace {
-
-std::string identity_detail(fnda::IdentityId identity, fnda::Money amount) {
-  std::ostringstream os;
-  os << identity << ' ' << amount;
-  return os.str();
-}
-
-}  // namespace
 
 namespace fnda {
 
@@ -20,7 +9,7 @@ ExchangeSimulation::ExchangeSimulation(const DoubleAuctionProtocol& protocol,
     : config_(config) {
   Rng root(config_.seed);
   bus_ = std::make_unique<MessageBus>(queue_, config_.bus, root.split());
-  escrow_ = std::make_unique<EscrowService>(cash_);
+  escrow_ = std::make_unique<EscrowService>(cash_, registry_);
   settlement_ = std::make_unique<SettlementEngine>(registry_, cash_, goods_,
                                                    *escrow_);
   server_ = std::make_unique<AuctionServer>(
@@ -63,9 +52,8 @@ Money ExchangeSimulation::close_market() {
     const Money amount = escrow_->held(identity);
     escrow_->refund(identity, registry_.owner(identity));
     refunded += amount;
-    audit_.append(queue_.now(), RoundId::invalid(),
-                  AuditKind::kDepositRefunded,
-                  identity_detail(identity, amount));
+    audit_.deposit(queue_.now(), RoundId::invalid(),
+                   AuditKind::kDepositRefunded, identity, amount);
   }
   return refunded;
 }

@@ -9,25 +9,24 @@ AccountId IdentityRegistry::create_account() {
 }
 
 IdentityId IdentityRegistry::register_identity(AccountId account) {
-  const IdentityId identity{next_identity_};
-  next_identity_ += identity_stride_;
-  owners_.emplace(identity, account);
+  const IdentityId identity = identity_at(owners_.size());
+  owners_.push_back(account);
   return identity;
 }
 
 AccountId IdentityRegistry::owner(IdentityId identity) const {
-  auto it = owners_.find(identity);
-  if (it == owners_.end()) {
+  const std::size_t index = ordinal(identity);
+  if (index >= owners_.size()) {
     throw std::out_of_range("IdentityRegistry::owner: unknown identity");
   }
-  return it->second;
+  return owners_[index];
 }
 
 std::vector<IdentityId> IdentityRegistry::identities_of(
     AccountId account) const {
   std::vector<IdentityId> result;
-  for (const auto& [identity, owner] : owners_) {
-    if (owner == account) result.push_back(identity);
+  for (std::size_t i = 0; i < owners_.size(); ++i) {
+    if (owners_[i] == account) result.push_back(identity_at(i));
   }
   return result;
 }

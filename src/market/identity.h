@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "common/ids.h"
@@ -28,7 +28,7 @@ class IdentityRegistry {
   /// not depend on what other shards do, which keeps parallel runs
   /// bit-identical.
   IdentityRegistry(std::uint64_t first_identity, std::uint64_t identity_stride)
-      : next_identity_(first_identity),
+      : first_identity_(first_identity),
         identity_stride_(identity_stride == 0 ? 1 : identity_stride) {}
 
   /// Opens a fresh trader account.
@@ -39,19 +39,41 @@ class IdentityRegistry {
   IdentityId register_identity(AccountId account);
 
   /// The account behind an identity.  Settlement-time only.
-  /// Throws std::out_of_range for unknown identities.
+  /// Throws std::out_of_range for identities this registry did not mint
+  /// (another shard's residue class, past the minted count, invalid()).
   AccountId owner(IdentityId identity) const;
 
-  /// All identities minted by one account (audit views).
+  /// All identities minted by one account (audit views), in mint order.
   std::vector<IdentityId> identities_of(AccountId account) const;
+
+  /// Mint ordinal of an identity in this registry's namespace,
+  /// (id - first) / stride, or kNoOrdinal when the id is outside the
+  /// namespace.  Pure arithmetic: an in-namespace id need not be minted
+  /// yet.  Per-identity stores (escrow deposits) index dense tables by it.
+  static constexpr std::size_t kNoOrdinal = ~std::size_t{0};
+  std::size_t ordinal(IdentityId identity) const {
+    const std::uint64_t value = identity.value();
+    if (value < first_identity_ || identity == IdentityId::invalid()) {
+      return kNoOrdinal;
+    }
+    const std::uint64_t offset = value - first_identity_;
+    if (offset % identity_stride_ != 0) return kNoOrdinal;
+    return static_cast<std::size_t>(offset / identity_stride_);
+  }
+  /// The identity with a given mint ordinal (inverse of ordinal()).
+  IdentityId identity_at(std::size_t ordinal) const {
+    return IdentityId{first_identity_ + ordinal * identity_stride_};
+  }
 
   std::size_t account_count() const { return next_account_ - 1; }
   std::size_t identity_count() const { return owners_.size(); }
 
  private:
-  std::unordered_map<IdentityId, AccountId> owners_;
+  /// Owner per mint ordinal: identities are minted densely in their
+  /// residue class, so one AccountId per identity and no hashing.
+  std::vector<AccountId> owners_;
   std::uint64_t next_account_ = 1;  // 0 is the exchange
-  std::uint64_t next_identity_ = 0;
+  std::uint64_t first_identity_ = 0;
   std::uint64_t identity_stride_ = 1;
 };
 

@@ -1,21 +1,10 @@
 #include "market/multi_exchange.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "common/sweep_kernel.h"
-
-namespace {
-
-std::string identity_detail(fnda::IdentityId identity, fnda::Money amount) {
-  std::ostringstream os;
-  os << identity << ' ' << amount;
-  return os.str();
-}
-
-}  // namespace
 
 namespace fnda {
 
@@ -58,7 +47,8 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
                                              *fabric_,
                                              static_cast<std::uint32_t>(s));
     shard.registry = IdentityRegistry(s, config_.shards);
-    shard.escrow = std::make_unique<EscrowService>(shard.cash);
+    shard.escrow =
+        std::make_unique<EscrowService>(shard.cash, shard.registry);
     shard.settlement = std::make_unique<SettlementEngine>(
         shard.registry, shard.cash, shard.goods, *shard.escrow);
     shard.server = std::make_unique<AuctionServer>(
@@ -234,9 +224,8 @@ Money MultiServerExchange::close_market() {
       const Money amount = shard.escrow->held(identity);
       shard.escrow->refund(identity, shard.registry.owner(identity));
       refunded += amount;
-      shard.audit.append(shard.queue.now(), RoundId::invalid(),
-                         AuditKind::kDepositRefunded,
-                         identity_detail(identity, amount));
+      shard.audit.deposit(shard.queue.now(), RoundId::invalid(),
+                          AuditKind::kDepositRefunded, identity, amount);
     }
   }
   return refunded;
@@ -269,23 +258,44 @@ std::vector<BusStats> MultiServerExchange::shard_bus_stats() const {
   return stats;
 }
 
-std::vector<AuditRecord> MultiServerExchange::merged_audit() const {
-  std::vector<AuditRecord> merged;
+std::size_t MultiServerExchange::audit_size() const {
   std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.audit.records().size();
-  merged.reserve(total);
-  // Stable merge by timestamp with shard index as the tiebreak: append
-  // in shard order, then stable-sort by time.  Within one shard the log
-  // is already chronological, so the result is a canonical total order.
-  for (const Shard& shard : shards_) {
-    const auto& records = shard.audit.records();
-    merged.insert(merged.end(), records.begin(), records.end());
+  for (const Shard& shard : shards_) total += shard.audit.size();
+  return total;
+}
+
+std::vector<AuditRecord> MultiServerExchange::merged_audit() const {
+  return merged_audit_tail(audit_size());
+}
+
+std::vector<AuditRecord> MultiServerExchange::merged_audit_tail(
+    std::size_t count) const {
+  // The merged order is a stable merge by timestamp with shard index as
+  // the tiebreak.  Each shard's log is already chronological (records
+  // are stamped with the shard clock, which never runs backwards), so
+  // the tail is read by walking the shards' logs backwards, taking the
+  // latest record each step and, among equal timestamps, the highest
+  // shard — only the records taken are formatted.
+  std::vector<std::size_t> remaining;
+  remaining.reserve(shards_.size());
+  for (const Shard& shard : shards_) remaining.push_back(shard.audit.size());
+  std::vector<AuditRecord> tail;
+  tail.reserve(std::min(count, audit_size()));
+  while (tail.size() < count) {
+    std::size_t pick = shards_.size();
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (remaining[s] == 0) continue;
+      if (pick == shards_.size() ||
+          shards_[s].audit.time_of(remaining[s] - 1) >=
+              shards_[pick].audit.time_of(remaining[pick] - 1)) {
+        pick = s;
+      }
+    }
+    if (pick == shards_.size()) break;  // every log exhausted
+    tail.push_back(shards_[pick].audit.record(--remaining[pick]));
   }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const AuditRecord& a, const AuditRecord& b) {
-                     return a.at < b.at;
-                   });
-  return merged;
+  std::reverse(tail.begin(), tail.end());
+  return tail;
 }
 
 std::size_t MultiServerExchange::audit_count(AuditKind kind) const {

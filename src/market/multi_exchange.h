@@ -161,6 +161,10 @@ class MultiServerExchange {
   LiveBookStats book_stats() const;
   /// All shards' audit records, stably merged by (timestamp, shard).
   std::vector<AuditRecord> merged_audit() const;
+  /// The last `count` records of merged_audit(), formatting only those.
+  std::vector<AuditRecord> merged_audit_tail(std::size_t count) const;
+  /// Audit records across all shards.
+  std::size_t audit_size() const;
   std::size_t audit_count(AuditKind kind) const;
   Money cash_balance(AccountId account) const;
   Money cash_total() const;

@@ -6,35 +6,6 @@
 #include "common/logging.h"
 
 namespace fnda {
-namespace {
-
-// Audit-detail formatting runs once per accepted/rejected bid, squarely on
-// the submission hot path.  Each overload appends exactly what the
-// corresponding operator<< would stream (ids are prefix + decimal, Money
-// is Money::to_string), so detail lines are byte-identical to the old
-// ostringstream path without paying its locale machinery per call.
-inline void append_part(std::string& out, char c) { out += c; }
-inline void append_part(std::string& out, const char* s) { out += s; }
-inline void append_part(std::string& out, const std::string& s) { out += s; }
-inline void append_part(std::string& out, Money m) { out += m.to_string(); }
-inline void append_part(std::string& out, std::size_t v) {
-  out += std::to_string(v);
-}
-template <typename Tag>
-void append_part(std::string& out, TypedId<Tag> id) {
-  out += Tag::prefix();
-  out += std::to_string(id.value());
-}
-
-/// Concatenates every argument into a string (audit-log detail lines).
-template <typename... Parts>
-std::string fmt(const Parts&... parts) {
-  std::string out;
-  (append_part(out, parts), ...);
-  return out;
-}
-
-}  // namespace
 
 void AuctionServer::SubmittedTable::reset(MonotonicArena& arena,
                                           std::size_t expected_entries) {
@@ -242,19 +213,18 @@ void AuctionServer::on_batch(const Envelope* const* envelopes,
 }
 
 void AuctionServer::reject(const Envelope& envelope, const SubmitBidMsg& msg,
-                           const std::string& reason) {
-  audit_.append(queue_.now(), msg.round, AuditKind::kBidRejected,
-                fmt(msg.identity, ' ', to_string(msg.side), '@', msg.value,
-                    ": ", reason));
+                           RejectReason reason) {
+  audit_.bid_rejected(queue_.now(), msg.round, msg.identity, msg.side,
+                      msg.value, reason);
   bus_.send(address_id_, envelope.from,
-            BidAckMsg{msg.round, msg.identity, false, reason});
+            BidAckMsg{msg.round, msg.identity, false, to_string(reason)});
 }
 
 void AuctionServer::handle_submit(const Envelope& envelope,
                                   const SubmitBidMsg& msg,
                                   EscrowCache& cache) {
   if (!open_round_.has_value() || open_round_->id != msg.round) {
-    reject(envelope, msg, "round not open");
+    reject(envelope, msg, RejectReason::kRoundNotOpen);
     return;
   }
   OpenRound& round = *open_round_;
@@ -264,7 +234,7 @@ void AuctionServer::handle_submit(const Envelope& envelope,
       bus_.send(address_id_, envelope.from,
                 BidAckMsg{msg.round, msg.identity, true, ""});
     } else {
-      reject(envelope, msg, "identity already bid this round");
+      reject(envelope, msg, RejectReason::kIdentityAlreadyBid);
     }
     return;
   }
@@ -273,19 +243,19 @@ void AuctionServer::handle_submit(const Envelope& envelope,
     cache.held = escrow_.held(msg.identity);
   }
   if (cache.held < config_.min_deposit) {
-    reject(envelope, msg, "insufficient deposit");
+    reject(envelope, msg, RejectReason::kInsufficientDeposit);
     return;
   }
   if (msg.value < config_.domain.lowest || msg.value > config_.domain.highest) {
-    reject(envelope, msg, "value outside domain");
+    reject(envelope, msg, RejectReason::kValueOutsideDomain);
     return;
   }
 
   live_book_.add(msg.side, msg.identity, msg.value);
   round.submitted.insert(msg.identity,
                          SubmittedBid{envelope.from, msg.side, msg.value});
-  audit_.append(queue_.now(), msg.round, AuditKind::kBidAccepted,
-                fmt(msg.identity, ' ', to_string(msg.side), '@', msg.value));
+  audit_.bid_accepted(queue_.now(), msg.round, msg.identity, msg.side,
+                      msg.value);
   bus_.send(address_id_, envelope.from,
             BidAckMsg{msg.round, msg.identity, true, ""});
 }
@@ -310,9 +280,8 @@ void AuctionServer::clear_round() {
   expect_valid_outcome(ranked, outcome, validation_scratch_);
   last_round_bids_ = round.submitted.size();
 
-  audit_.append(queue_.now(), round.id, AuditKind::kRoundCleared,
-                fmt(outcome.trade_count(), " trades, revenue ",
-                    outcome.auctioneer_revenue()));
+  audit_.round_cleared(queue_.now(), round.id, outcome.trade_count(),
+                       outcome.auctioneer_revenue());
 
   for (const Fill& fill : outcome.fills()) {
     const SubmittedBid* submitted = round.submitted.find(fill.identity);
@@ -329,15 +298,14 @@ void AuctionServer::clear_round() {
   SettlementReport report = settlement_.settle(round.id, outcome);
   for (const Delivery& delivery : report.deliveries) {
     if (delivery.delivered) {
-      audit_.append(queue_.now(), round.id, AuditKind::kDelivery,
-                    fmt(delivery.seller, " -> ", delivery.buyer));
+      audit_.delivery(queue_.now(), round.id, delivery.seller,
+                      delivery.buyer);
       continue;
     }
-    audit_.append(queue_.now(), round.id, AuditKind::kDeliveryFailed,
-                  fmt(delivery.seller));
+    audit_.delivery_failed(queue_.now(), round.id, delivery.seller);
     if (delivery.confiscated > Money{}) {
-      audit_.append(queue_.now(), round.id, AuditKind::kDepositConfiscated,
-                    fmt(delivery.seller, ' ', delivery.confiscated));
+      audit_.deposit(queue_.now(), round.id, AuditKind::kDepositConfiscated,
+                     delivery.seller, delivery.confiscated);
     }
     const SubmittedBid* seller = round.submitted.find(delivery.seller);
     if (seller != nullptr) {

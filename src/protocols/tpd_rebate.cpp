@@ -1,30 +1,12 @@
 #include "protocols/tpd_rebate.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "protocols/tpd.h"
 
 namespace fnda {
 namespace {
-
-/// TPD auctioneer revenue of `book` with the declaration of `skip`
-/// removed.  Deterministic: uses its own fixed tie-break stream (revenue
-/// depends only on values, not on tie order).
-Money revenue_without(const SortedBook& book, IdentityId skip,
-                      Money threshold) {
-  OrderBook reduced(book.domain());
-  for (const BidEntry& entry : book.buyers()) {
-    if (entry.identity != skip) reduced.add_buyer(entry.identity, entry.value);
-  }
-  for (const BidEntry& entry : book.sellers()) {
-    if (entry.identity != skip) {
-      reduced.add_seller(entry.identity, entry.value);
-    }
-  }
-  // Revenue is a function of the declared values alone (tie order only
-  // permutes same-valued fills), so a fixed stream is safe here.
-  Rng rng(0x2eba7e);
-  const Outcome outcome = TpdProtocol(threshold).clear(reduced, rng);
-  return outcome.auctioneer_revenue();
-}
 
 /// Value at rank `y` of a buyer lane with the entry at rank `removed`
 /// deleted (`removed == 0`: nothing deleted from this lane).  Deleting a
@@ -76,30 +58,61 @@ Money revenue_without_ranked(const SortedBook& ranked, Money r, Side side,
 
 TpdWithRebates::TpdWithRebates(Money threshold) : threshold_(threshold) {}
 
-Outcome TpdWithRebates::clear_sorted(const SortedBook& book, Rng&) const {
-  Outcome outcome = TpdProtocol::clear_sorted(book, threshold_);
-
-  // One rebate per participating identity (an identity with several
-  // declarations would collect once per declaration — which is exactly
-  // the vulnerability this module demonstrates, since identities are
-  // free to mint).
-  std::vector<IdentityId> identities;
-  identities.reserve(book.buyer_count() + book.seller_count());
+Money TpdWithRebates::revenue_without(const SortedBook& book, IdentityId skip,
+                                      Money threshold) {
+  OrderBook reduced(book.domain());
   for (const BidEntry& entry : book.buyers()) {
-    identities.push_back(entry.identity);
+    if (entry.identity != skip) reduced.add_buyer(entry.identity, entry.value);
   }
   for (const BidEntry& entry : book.sellers()) {
-    identities.push_back(entry.identity);
+    if (entry.identity != skip) {
+      reduced.add_seller(entry.identity, entry.value);
+    }
   }
-  if (identities.empty()) return outcome;
+  // Revenue is a function of the declared values alone (tie order only
+  // permutes same-valued fills), so a fixed stream is safe here.
+  Rng rng(0x2eba7e);
+  const Outcome outcome = TpdProtocol(threshold).clear(reduced, rng);
+  return outcome.auctioneer_revenue();
+}
 
-  const auto n = static_cast<std::int64_t>(identities.size());
-  for (IdentityId identity : identities) {
+Outcome TpdWithRebates::clear_sorted(const SortedBook& book, Rng&) const {
+  Outcome outcome = TpdProtocol::clear_sorted(book, threshold_);
+  const std::size_t declarations = book.buyer_count() + book.seller_count();
+  if (declarations == 0) return outcome;
+
+  // One rebate per declaration (an identity with several declarations
+  // collects once per declaration — which is exactly the vulnerability
+  // this module demonstrates, since identities are free to mint).  An
+  // identity with a single declaration (every identity of a truthful
+  // book) gets R(-i) by rank arithmetic; one with several has all of
+  // them removed, which only the rebuild-and-reclear path does.
+  std::vector<std::uint64_t> ids;
+  ids.reserve(declarations);
+  for (const BidEntry& entry : book.buyers()) {
+    ids.push_back(entry.identity.value());
+  }
+  for (const BidEntry& entry : book.sellers()) {
+    ids.push_back(entry.identity.value());
+  }
+  std::sort(ids.begin(), ids.end());
+  const auto n = static_cast<std::int64_t>(declarations);
+  auto rebate = [&](const BidEntry& entry, Side side, std::size_t rank) {
+    const auto [first, last] =
+        std::equal_range(ids.begin(), ids.end(), entry.identity.value());
     const Money reduced_revenue =
-        revenue_without(book, identity, threshold_);
-    if (reduced_revenue <= Money{}) continue;
-    outcome.add_rebate(identity,
+        last - first == 1
+            ? revenue_without_ranked(book, threshold_, side, rank, entry.value)
+            : revenue_without(book, entry.identity, threshold_);
+    if (reduced_revenue <= Money{}) return;
+    outcome.add_rebate(entry.identity,
                        Money::from_micros(reduced_revenue.micros() / n));
+  };
+  for (std::size_t k = 0; k < book.buyer_count(); ++k) {
+    rebate(book.buyers()[k], Side::kBuyer, k + 1);
+  }
+  for (std::size_t k = 0; k < book.seller_count(); ++k) {
+    rebate(book.sellers()[k], Side::kSeller, k + 1);
   }
   return outcome;
 }

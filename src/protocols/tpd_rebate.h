@@ -49,6 +49,13 @@ class TpdWithRebates final : public DoubleAuctionProtocol {
 
   Money threshold() const { return threshold_; }
 
+  /// R(-i) by rebuild and re-clear: the TPD auctioneer revenue of `book`
+  /// with every declaration of `identity` removed.  clear_sorted takes
+  /// this path only for identities with several declarations; it is the
+  /// reference the rank-arithmetic path is tested against.
+  static Money revenue_without(const SortedBook& book, IdentityId identity,
+                               Money threshold);
+
  private:
   Money threshold_;
 };

@@ -194,7 +194,8 @@ std::string settlement_to_json(const SettlementReport& report) {
 std::string audit_to_json(const AuditLog& log) {
   JsonWriter w;
   w.begin_array();
-  for (const AuditRecord& record : log.records()) {
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const AuditRecord record = log.record(i);
     w.begin_object();
     w.key("t_micros");
     w.value(record.at.micros);

@@ -80,6 +80,64 @@ TEST(ReliabilityTest, DuplicatedTransportDoesNotDoubleCount) {
   EXPECT_EQ(exchange.audit().count(AuditKind::kBidAccepted), 2u);
 }
 
+TEST(ReliabilityTest, RepeatedRoundAnnouncementsYieldOneBidPerRound) {
+  // Heartbeats every 5 ms re-announce each 100 ms round ~20 times, and
+  // the bus duplicates every message: each client still bids exactly
+  // once per round, with one fresh identity per declaration.
+  const TpdProtocol tpd(money(50));
+  ExchangeConfig config;
+  config.seed = 29;
+  config.bus.duplicate_probability = 1.0;
+  config.server.announce_interval = SimTime::millis(5);
+  ExchangeSimulation exchange(tpd, config);
+  TradingClient& buyer = exchange.add_trader(Side::kBuyer, money(80));
+  TradingClient& seller = exchange.add_trader(Side::kSeller, money(20));
+  for (int r = 0; r < 3; ++r) exchange.run_round(SimTime::millis(100));
+
+  for (const TradingClient* client : {&buyer, &seller}) {
+    EXPECT_EQ(client->rounds_seen(), 3u);
+    EXPECT_EQ(client->identities().size(), 3u);
+    EXPECT_EQ(client->bids_accepted(), 3u);
+    EXPECT_EQ(client->bids_rejected(), 0u);
+  }
+  EXPECT_EQ(exchange.audit().count(AuditKind::kBidAccepted), 6u);
+  EXPECT_EQ(exchange.audit().count(AuditKind::kBidRejected), 0u);
+}
+
+TEST(ReliabilityTest, BusyClientDeduplicatesEveryDuplicate) {
+  // One account with 48 declarations receives far more messages per
+  // round than its dedup window holds (acks, fills, heartbeats), every
+  // one of them duplicated: each ack and fill is still counted once.
+  const TpdProtocol tpd(money(50));
+  ExchangeConfig config;
+  config.seed = 31;
+  config.bus.duplicate_probability = 1.0;
+  config.server.announce_interval = SimTime::millis(10);
+  ExchangeSimulation exchange(tpd, config);
+  Strategy ring;
+  for (int i = 0; i < 48; ++i) {
+    ring.declarations.push_back(Declaration{Side::kBuyer, money(60 + i % 30)});
+  }
+  TradingClient& busy = exchange.add_trader(Side::kBuyer, money(90), ring);
+  for (int i = 0; i < 40; ++i) {
+    TradingClient& seller = exchange.add_trader(Side::kSeller, money(5 + i));
+    exchange.goods().grant(seller.account(), 2);
+  }
+  std::size_t fills = 0;
+  for (int r = 0; r < 2; ++r) {
+    const RoundId round = exchange.run_round(SimTime::millis(100));
+    const Outcome* outcome = exchange.server().outcome_of(round);
+    ASSERT_NE(outcome, nullptr);
+    for (const Fill& fill : outcome->fills()) {
+      if (exchange.registry().owner(fill.identity) == busy.account()) ++fills;
+    }
+  }
+  EXPECT_GT(fills, 0u);
+  EXPECT_EQ(busy.bids_accepted(), 96u);
+  EXPECT_EQ(busy.bids_rejected(), 0u);
+  EXPECT_EQ(busy.fills().size(), fills);
+}
+
 TEST(ReliabilityTest, RetryWithLossAndDuplicationStaysExactlyOnce) {
   const TpdProtocol tpd(money(50));
   ExchangeConfig config;

@@ -31,7 +31,7 @@ class ServerFixture : public ::testing::Test {
     bus_config.base_latency = SimTime{100};
     bus_config.jitter = SimTime{0};
     bus_ = std::make_unique<MessageBus>(queue_, bus_config, Rng(2));
-    escrow_ = std::make_unique<EscrowService>(cash_);
+    escrow_ = std::make_unique<EscrowService>(cash_, registry_);
     settlement_ = std::make_unique<SettlementEngine>(registry_, cash_, goods_,
                                                      *escrow_);
     server_ = std::make_unique<AuctionServer>(
@@ -272,7 +272,7 @@ TEST_F(ServerFixture, DuplicateSubmitDeliveredTwiceCountsOnce) {
   EventQueue queue;
   MessageBus bus(queue, dup_config, Rng(5));
   AuditLog audit;
-  EscrowService escrow(cash_);
+  EscrowService escrow(cash_, registry_);
   SettlementEngine settlement(registry_, cash_, goods_, escrow);
   AuctionServer server("server2", queue, bus, tpd_, escrow, settlement, audit,
                        Rng(6), ServerConfig{});

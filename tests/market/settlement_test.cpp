@@ -10,7 +10,7 @@ class SettlementTest : public ::testing::Test {
   IdentityRegistry registry_;
   CashLedger cash_;
   GoodsLedger goods_;
-  EscrowService escrow_{cash_};
+  EscrowService escrow_{cash_, registry_};
   SettlementEngine engine_{registry_, cash_, goods_, escrow_};
   AccountId exchange_ = IdentityRegistry::exchange_account();
 

@@ -136,5 +136,74 @@ TEST(TpdRebateTest, EmptyBook) {
   EXPECT_EQ(outcome.rebates_total(), Money{});
 }
 
+
+TEST(TpdRebateTest, RankArithmeticRebatesBitEqualToReclearPath) {
+  // clear_sorted computes R(-i) by rank arithmetic for identities with a
+  // single declaration.  Reference: every rebate through the rebuild-
+  // and-reclear path.  Books have ties (values on a coarse grid), repeated
+  // identities (within and across lanes), empty sides, and thresholds on
+  // and off the value grid.
+  Rng rng(0x7eba7e);
+  std::size_t repeated_books = 0;
+  std::size_t rebated_books = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    OrderBook book(ValueDomain{money(0), money(20)});
+    std::vector<IdentityId> used;
+    auto identity = [&] {
+      if (!used.empty() && rng.bernoulli(0.2)) {
+        return used[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(used.size()) - 1))];
+      }
+      used.push_back(IdentityId{static_cast<std::uint64_t>(trial * 100) +
+                                used.size()});
+      return used.back();
+    };
+    const std::int64_t buyers = rng.uniform_int(0, 12);
+    const std::int64_t sellers = rng.uniform_int(0, 12);
+    for (std::int64_t i = 0; i < buyers; ++i) {
+      book.add_buyer(identity(), money(0.5 * rng.uniform_int(0, 40)));
+    }
+    for (std::int64_t j = 0; j < sellers; ++j) {
+      book.add_seller(identity(), money(0.5 * rng.uniform_int(0, 40)));
+    }
+    const Money threshold =
+        rng.bernoulli(0.5) ? money(0.5 * rng.uniform_int(0, 40))
+                           : money(0.25 + 0.5 * rng.uniform_int(0, 39));
+    Rng rank_rng(static_cast<std::uint64_t>(trial));
+    const SortedBook ranked(book, rank_rng);
+
+    Rng unused(1);
+    const Outcome fast = TpdWithRebates(threshold).clear_sorted(ranked, unused);
+
+    Outcome reference = TpdProtocol::clear_sorted(ranked, threshold);
+    const auto n =
+        static_cast<std::int64_t>(ranked.buyer_count() + ranked.seller_count());
+    auto add_reference = [&](const BidEntry& entry) {
+      const Money revenue =
+          TpdWithRebates::revenue_without(ranked, entry.identity, threshold);
+      if (revenue > Money{}) {
+        reference.add_rebate(entry.identity,
+                             Money::from_micros(revenue.micros() / n));
+      }
+    };
+    for (const BidEntry& entry : ranked.buyers()) add_reference(entry);
+    for (const BidEntry& entry : ranked.sellers()) add_reference(entry);
+
+    ASSERT_EQ(fast.fills(), reference.fills()) << "trial " << trial;
+    ASSERT_EQ(fast.rebates_total(), reference.rebates_total())
+        << "trial " << trial;
+    ASSERT_EQ(fast.auctioneer_revenue(), reference.auctioneer_revenue());
+    for (const IdentityId id : used) {
+      ASSERT_EQ(fast.rebate_of(id), reference.rebate_of(id))
+          << "trial " << trial << " " << id;
+    }
+    repeated_books += used.size() < static_cast<std::size_t>(buyers + sellers);
+    rebated_books += fast.rebates_total() > Money{};
+  }
+  // The sample exercises both paths.
+  EXPECT_GT(repeated_books, 50u);
+  EXPECT_GT(rebated_books, 50u);
+}
+
 }  // namespace
 }  // namespace fnda
