@@ -1,13 +1,9 @@
 // Market-substrate throughput benchmark.
 //
-// Measures three things at a configurable client count:
-//   1. legacy_substrate_roundtrip — the pre-change substrate (the seed's
-//      comparison-heap EventQueue plus the string-keyed bus with a
-//      heap-allocated envelope closure per delivery), kept here verbatim
-//      as the baseline the ISSUE's ≥5x criterion is judged against;
-//   2. market_substrate_roundtrip — the same open→submit→ack workload on
-//      the interned/slab/calendar-queue MessageBus;
-//   3. market_session — the full stack (MultiServerExchange, real
+// Measures two things at a configurable client count:
+//   1. market_substrate_roundtrip — an open→submit→ack workload on the
+//      interned/slab/calendar-queue MessageBus alone;
+//   2. market_session — the full stack (MultiServerExchange, real
 //      AuctionServers, escrow, settlement, audit) driven by ZI traders.
 // Results go to BENCH_market_throughput.json (google-benchmark shape).
 //
@@ -19,10 +15,6 @@
 // --allow-oversubscribed is passed (and then tagged `oversubscribed` in
 // the JSON).  --assert-speedup X turns the shards=4 threads=4-vs-1 ratio
 // into a hard gate (requires >= 4 real CPUs).
-//
-// An epoch-barrier axis (the same session with adaptive epoch windows on
-// vs off, deterministic counters so one run each) is always recorded;
-// --assert-barrier-reduction X gates the crossing reduction ratio.
 //
 // A telemetry overhead axis (market_session with the obs registry live
 // versus runtime-disabled, interleaved best-of---reps) is appended unless
@@ -39,20 +31,21 @@
 //                          [--seed S] [--json PATH] [--scale 0|1]
 //                          [--scale-reps N] [--bids-axis 0|1]
 //                          [--telemetry-axis 0|1] [--assert-overhead PCT]
-//                          [--assert-ns-per-message NS]
+//                          [--assert-ns-per-message NS] [--assert-speedup X]
+//                          [--reps N] [--allow-oversubscribed]
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iostream>
 #include <memory>
-#include <queue>
+#include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
+#include "cli/args.h"
 #include "common/rng.h"
 #include "core/live_book.h"
 #include "market/bus.h"
@@ -60,126 +53,6 @@
 #include "market/throughput.h"
 #include "obs/metrics.h"
 #include "protocols/tpd.h"
-
-namespace legacy {
-
-// The seed's EventQueue: a comparison heap of std::function entries.
-class EventQueue {
- public:
-  using Action = std::function<void()>;
-
-  void schedule_at(fnda::SimTime at, Action action) {
-    queue_.push(Entry{std::max(at, now_), next_sequence_++,
-                      std::move(action)});
-  }
-
-  std::size_t run(std::size_t max_events = 1'000'000) {
-    std::size_t executed = 0;
-    while (executed < max_events && !queue_.empty()) {
-      Entry entry = queue_.top();
-      queue_.pop();
-      now_ = entry.at;
-      entry.action();
-      ++executed;
-    }
-    return executed;
-  }
-
-  fnda::SimTime now() const { return now_; }
-  std::size_t pending() const { return queue_.size(); }
-
- private:
-  struct Entry {
-    fnda::SimTime at;
-    std::uint64_t sequence;
-    Action action;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return b.at < a.at;
-      return b.sequence < a.sequence;
-    }
-  };
-
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  fnda::SimTime now_{};
-  std::uint64_t next_sequence_ = 0;
-};
-
-// The seed's bus: string-keyed endpoint map, one heap-allocated envelope
-// closure per scheduled delivery.
-struct Envelope {
-  std::uint64_t id = 0;
-  std::string from;
-  std::string to;
-  fnda::SimTime sent_at;
-  fnda::SimTime delivered_at;
-  fnda::Message payload;
-};
-
-class Endpoint {
- public:
-  virtual ~Endpoint() = default;
-  virtual void on_message(const Envelope& envelope) = 0;
-};
-
-class MessageBus {
- public:
-  MessageBus(EventQueue& queue, fnda::BusConfig config, fnda::Rng rng)
-      : queue_(queue), config_(config), rng_(rng) {}
-
-  void attach(const std::string& address, Endpoint& endpoint) {
-    endpoints_[address] = &endpoint;
-  }
-
-  std::uint64_t send(const std::string& from, const std::string& to,
-                     fnda::Message payload) {
-    const std::uint64_t id = next_message_++;
-    ++sent_;
-    Envelope envelope;
-    envelope.id = id;
-    envelope.from = from;
-    envelope.to = to;
-    envelope.sent_at = queue_.now();
-    envelope.payload = std::move(payload);
-    if (rng_.bernoulli(config_.drop_probability)) return id;
-    schedule_delivery(envelope);
-    if (rng_.bernoulli(config_.duplicate_probability)) {
-      schedule_delivery(envelope);
-    }
-    return id;
-  }
-
-  std::size_t sent() const { return sent_; }
-  std::size_t delivered() const { return delivered_; }
-
- private:
-  void schedule_delivery(Envelope envelope) {
-    fnda::SimTime latency = config_.base_latency;
-    if (config_.jitter.micros > 0) {
-      latency.micros += rng_.uniform_int(0, config_.jitter.micros - 1);
-    }
-    const fnda::SimTime deliver_at = queue_.now() + latency;
-    queue_.schedule_at(deliver_at, [this, envelope = std::move(envelope),
-                                    deliver_at]() mutable {
-      auto it = endpoints_.find(envelope.to);
-      if (it == endpoints_.end()) return;
-      envelope.delivered_at = deliver_at;
-      ++delivered_;
-      it->second->on_message(envelope);
-    });
-  }
-
-  EventQueue& queue_;
-  fnda::BusConfig config_;
-  fnda::Rng rng_;
-  std::unordered_map<std::string, Endpoint*> endpoints_;
-  std::size_t sent_ = 0;
-  std::size_t delivered_ = 0;
-  std::uint64_t next_message_ = 0;
-};
-
-}  // namespace legacy
 
 namespace {
 
@@ -189,77 +62,13 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// ---------------------------------------------------------------------------
-// Open→submit→ack round-trip workload, pre-change substrate.
-
-struct LegacyPingServer : legacy::Endpoint {
-  legacy::MessageBus* bus = nullptr;
-  std::string address;
-  void on_message(const legacy::Envelope& e) override {
-    if (const auto* msg = std::get_if<fnda::SubmitBidMsg>(&e.payload)) {
-      bus->send(address, e.from,
-                fnda::BidAckMsg{msg->round, msg->identity, true, ""});
-    }
-  }
-};
-
-struct LegacyPingClient : legacy::Endpoint {
-  legacy::MessageBus* bus = nullptr;
-  std::string address;
-  std::string server;
-  std::uint64_t identity = 0;
-  void on_message(const legacy::Envelope& e) override {
-    if (const auto* msg = std::get_if<fnda::RoundOpenMsg>(&e.payload)) {
-      bus->send(address, server,
-                fnda::SubmitBidMsg{msg->round, fnda::IdentityId{identity},
-                                   fnda::Side::kBuyer,
-                                   fnda::Money::from_units(42)});
-    }
-  }
-};
-
 struct RoundtripTiming {
   std::size_t messages = 0;
   double elapsed = 0.0;
 };
 
-RoundtripTiming run_legacy_roundtrips(std::size_t clients,
-                                      std::size_t rounds,
-                                      std::uint64_t seed) {
-  legacy::EventQueue queue;
-  legacy::MessageBus bus(queue, fnda::BusConfig{}, fnda::Rng(seed));
-
-  LegacyPingServer server;
-  server.bus = &bus;
-  server.address = "exchange";
-  bus.attach(server.address, server);
-
-  std::vector<std::unique_ptr<LegacyPingClient>> endpoints;
-  endpoints.reserve(clients);
-  for (std::size_t i = 0; i < clients; ++i) {
-    auto client = std::make_unique<LegacyPingClient>();
-    client->bus = &bus;
-    client->address = "trader-" + std::to_string(i);
-    client->server = server.address;
-    client->identity = i;
-    bus.attach(client->address, *client);
-    endpoints.push_back(std::move(client));
-  }
-
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (const auto& client : endpoints) {
-      bus.send(server.address, client->address,
-               fnda::RoundOpenMsg{fnda::RoundId{r}, queue.now()});
-    }
-    while (queue.run() > 0) {
-    }
-  }
-  return RoundtripTiming{bus.sent(), seconds_since(start)};
-}
-
 // ---------------------------------------------------------------------------
-// The same workload on the interned/slab/calendar-queue substrate.
+// Open→submit→ack round-trip workload on the bus alone.
 
 struct FastPingServer : fnda::Endpoint {
   fnda::MessageBus* bus = nullptr;
@@ -408,9 +217,8 @@ int usage(const char* argv0) {
                "       [--reps N] [--drop P] [--duplicate P] [--seed S]\n"
                "       [--json PATH] [--scale 0|1] [--scale-reps N]\n"
                "       [--bids-axis 0|1] [--telemetry-axis 0|1]\n"
-               "       [--adaptive 0|1] [--allow-oversubscribed]\n"
-               "       [--assert-overhead PCT] [--assert-ns-per-message NS]\n"
-               "       [--assert-speedup X] [--assert-barrier-reduction X]\n";
+               "       [--allow-oversubscribed] [--assert-overhead PCT]\n"
+               "       [--assert-ns-per-message NS] [--assert-speedup X]\n";
   return 2;
 }
 
@@ -429,61 +237,40 @@ int main(int argc, char** argv) {
   double assert_overhead = -1.0;        // < 0 disables the assertion
   double assert_ns_per_message = -1.0;  // < 0 disables the gate
   double assert_speedup = -1.0;         // < 0 disables the gate
-  double assert_barrier_reduction = -1.0;  // < 0 disables the gate
-  bool adaptive = true;
   bool allow_oversubscribed = false;
   double drop = 0.0;
   double duplicate = 0.0;
   std::uint64_t seed = 1;
   std::string json_path = "BENCH_market_throughput.json";
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
+  try {
+    const fnda::ArgParser args(std::vector<std::string>(argv + 1, argv + argc));
+    const auto count = [&args](const char* key, std::size_t fallback) {
+      return static_cast<std::size_t>(
+          args.get_int_or(key, static_cast<std::int64_t>(fallback)));
     };
-    const char* value = nullptr;
-    if (arg == "--clients" && (value = next())) {
-      clients = std::stoull(value);
-    } else if (arg == "--rounds" && (value = next())) {
-      rounds = std::stoull(value);
-    } else if (arg == "--shards" && (value = next())) {
-      shards = std::stoull(value);
-    } else if (arg == "--threads" && (value = next())) {
-      threads = std::stoull(value);
-    } else if (arg == "--reps" && (value = next())) {
-      reps = std::max<std::size_t>(1, std::stoull(value));
-    } else if (arg == "--scale" && (value = next())) {
-      scale_table = std::stoull(value) != 0;
-    } else if (arg == "--bids-axis" && (value = next())) {
-      bids_axis = std::stoull(value) != 0;
-    } else if (arg == "--telemetry-axis" && (value = next())) {
-      telemetry_axis = std::stoull(value) != 0;
-    } else if (arg == "--assert-overhead" && (value = next())) {
-      assert_overhead = std::stod(value);
-    } else if (arg == "--assert-ns-per-message" && (value = next())) {
-      assert_ns_per_message = std::stod(value);
-    } else if (arg == "--assert-speedup" && (value = next())) {
-      assert_speedup = std::stod(value);
-    } else if (arg == "--assert-barrier-reduction" && (value = next())) {
-      assert_barrier_reduction = std::stod(value);
-    } else if (arg == "--adaptive" && (value = next())) {
-      adaptive = std::stoull(value) != 0;
-    } else if (arg == "--allow-oversubscribed") {
-      allow_oversubscribed = true;
-    } else if (arg == "--scale-reps" && (value = next())) {
-      scale_reps = std::max<std::size_t>(1, std::stoull(value));
-    } else if (arg == "--drop" && (value = next())) {
-      drop = std::stod(value);
-    } else if (arg == "--duplicate" && (value = next())) {
-      duplicate = std::stod(value);
-    } else if (arg == "--json" && (value = next())) {
-      json_path = value;
-    } else if (arg == "--seed" && (value = next())) {
-      seed = std::stoull(value);
-    } else {
+    clients = count("clients", clients);
+    rounds = count("rounds", rounds);
+    shards = count("shards", shards);
+    threads = count("threads", threads);
+    reps = std::max<std::size_t>(1, count("reps", reps));
+    scale_table = count("scale", 1) != 0;
+    bids_axis = count("bids-axis", 1) != 0;
+    scale_reps = std::max<std::size_t>(1, count("scale-reps", scale_reps));
+    telemetry_axis = count("telemetry-axis", 1) != 0;
+    assert_overhead = args.get_double_or("assert-overhead", assert_overhead);
+    assert_ns_per_message =
+        args.get_double_or("assert-ns-per-message", assert_ns_per_message);
+    assert_speedup = args.get_double_or("assert-speedup", assert_speedup);
+    allow_oversubscribed = args.has("allow-oversubscribed");
+    drop = args.get_double_or("drop", drop);
+    duplicate = args.get_double_or("duplicate", duplicate);
+    seed = count("seed", seed);
+    json_path = args.get_or("json", json_path);
+    if (!args.command().empty() || !args.unused().empty()) {
       return usage(argv[0]);
     }
+  } catch (const std::invalid_argument&) {
+    return usage(argv[0]);
   }
 
   std::vector<fnda::bench::JsonBenchRecord> records;
@@ -507,23 +294,8 @@ int main(int argc, char** argv) {
                  "num_cpus in the JSON.\n";
   }
 
-  // Best-of-reps for both substrates: the workload is deterministic, so
-  // repetition only filters out scheduler noise, never workload variance.
-  RoundtripTiming before = run_legacy_roundtrips(clients, rounds, seed);
-  for (std::size_t rep = 1; rep < reps; ++rep) {
-    const RoundtripTiming timing = run_legacy_roundtrips(clients, rounds, seed);
-    if (timing.elapsed < before.elapsed) before = timing;
-  }
-  const double before_rate =
-      static_cast<double>(before.messages) / before.elapsed;
-  records.push_back({"legacy_substrate_roundtrip" + size_suffix,
-                     before.elapsed * 1e9,
-                     1,
-                     before_rate,
-                     {{"messages", static_cast<double>(before.messages)}}});
-  std::cout << "legacy substrate:  " << before.messages << " messages in "
-            << before.elapsed << " s  (" << before_rate << " msg/s)\n";
-
+  // Best-of-reps: the workload is deterministic, so repetition only
+  // filters out scheduler noise, never workload variance.
   RoundtripTiming after = run_fast_roundtrips(clients, rounds, seed);
   for (std::size_t rep = 1; rep < reps; ++rep) {
     const RoundtripTiming timing = run_fast_roundtrips(clients, rounds, seed);
@@ -536,8 +308,7 @@ int main(int argc, char** argv) {
                      after_rate,
                      {{"messages", static_cast<double>(after.messages)}}});
   std::cout << "market substrate:  " << after.messages << " messages in "
-            << after.elapsed << " s  (" << after_rate << " msg/s, "
-            << after_rate / before_rate << "x)\n";
+            << after.elapsed << " s  (" << after_rate << " msg/s)\n";
 
   // Full stack: real servers, escrow, settlement, audit, ZI traders.
   fnda::TpdProtocol protocol(fnda::Money::from_units(50));
@@ -549,7 +320,6 @@ int main(int argc, char** argv) {
   session.drop_probability = drop;
   session.duplicate_probability = duplicate;
   session.seed = seed;
-  session.adaptive = adaptive;
 
   const auto start = Clock::now();
   const fnda::ThroughputResult result =
@@ -571,17 +341,13 @@ int main(int argc, char** argv) {
         {"trades", static_cast<double>(result.trades)},
         {"shards", static_cast<double>(result.shards)},
         {"threads", static_cast<double>(result.threads)},
-        {"adaptive", adaptive ? 1.0 : 0.0},
-        {"epoch_epochs", static_cast<double>(result.epoch.epochs)},
-        {"epoch_barriers", static_cast<double>(result.epoch.barriers)},
-        {"epoch_widened", static_cast<double>(result.epoch.widened)}}});
+        {"epoch_barriers", static_cast<double>(result.epoch.barriers)}}});
   std::cout << "full session:      " << result.bus.sent << " messages, "
             << result.bids_accepted << " bids, " << result.trades
             << " trades across " << result.shards << " shards on "
             << result.threads << " thread(s) in " << elapsed << " s  ("
             << messages_per_second << " msg/s; " << result.epoch.barriers
-            << " epoch barriers over " << result.epoch.epochs
-            << " epochs, adaptive " << (adaptive ? "on" : "off") << ")\n";
+            << " drives)\n";
   for (std::size_t s = 0; s < result.shard_bus.size(); ++s) {
     const fnda::BusStats& stats = result.shard_bus[s];
     std::cout << "  shard " << s << ": delivered " << stats.delivered
@@ -630,51 +396,6 @@ int main(int argc, char** argv) {
       std::cerr << "session hot path " << ns_per_message
                 << " ns/message exceeds the asserted bound of "
                 << assert_ns_per_message << " ns\n";
-      return 1;
-    }
-  }
-
-  {
-    // Epoch-barrier axis: the headline workload with adaptive lookahead
-    // batching on versus off.  Barrier counts are deterministic functions
-    // of the workload (thread- and wallclock-invariant), so one run per
-    // arm suffices; one thread keeps the runs cheap.
-    fnda::ThroughputConfig arm = session;
-    arm.threads = 1;
-    fnda::ThroughputResult arms[2];
-    for (const bool on : {false, true}) {
-      arm.adaptive = on;
-      arms[on] = fnda::run_throughput_session(protocol, arm);
-    }
-    const double off_barriers = static_cast<double>(arms[0].epoch.barriers);
-    const double on_barriers =
-        static_cast<double>(std::max<std::size_t>(arms[1].epoch.barriers, 1));
-    const double reduction = off_barriers / on_barriers;
-    for (const bool on : {false, true}) {
-      const fnda::ThroughputResult& sample = arms[on];
-      fnda::bench::JsonBenchRecord record{
-          std::string("epoch_barriers/adaptive:") + (on ? "on" : "off") +
-              size_suffix,
-          static_cast<double>(sample.epoch.barriers),
-          1,
-          0.0,
-          {{"epoch_epochs", static_cast<double>(sample.epoch.epochs)},
-           {"epoch_barriers", static_cast<double>(sample.epoch.barriers)},
-           {"epoch_widened", static_cast<double>(sample.epoch.widened)},
-           {"epoch_injected", static_cast<double>(sample.epoch.injected)},
-           {"shards", static_cast<double>(arm.shards)}},
-          {}};
-      if (on) record.counters.emplace_back("barrier_reduction", reduction);
-      records.push_back(std::move(record));
-    }
-    std::cout << "epoch barriers:    adaptive off " << arms[0].epoch.barriers
-              << ", adaptive on " << arms[1].epoch.barriers << " (x"
-              << reduction << " fewer crossings)\n";
-    if (assert_barrier_reduction >= 0.0 &&
-        reduction < assert_barrier_reduction) {
-      std::cerr << "epoch barrier reduction x" << reduction
-                << " is below the asserted bound of x"
-                << assert_barrier_reduction << '\n';
       return 1;
     }
   }

@@ -87,36 +87,9 @@ void BM_TpdMultiClear(benchmark::State& state) {
   }
 }
 
-/// The Table-1 inner loop, old style: P = 4 protocols each re-rank the
-/// same book before clearing (one sort per protocol per instance).
-/// Baseline for BM_SharedSortClear; items are protocol-clears x book size
-/// in both, so items/sec ratios compare directly.
-void BM_LegacyFourProtocolClear(benchmark::State& state) {
-  const auto per_side = static_cast<std::size_t>(state.range(0));
-  const OrderBook book = make_book(per_side, 42);
-  const TpdProtocol tpd(money(50));
-  const PmdProtocol pmd;
-  const EfficientClearing efficient;
-  const KDoubleAuction kda(0.5);
-  const std::vector<const DoubleAuctionProtocol*> protocols = {
-      &tpd, &pmd, &efficient, &kda};
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    for (const DoubleAuctionProtocol* protocol : protocols) {
-      Rng rng(seed);  // common random numbers across protocols
-      const Outcome outcome = protocol->clear(book, rng);
-      benchmark::DoNotOptimize(outcome.trade_count());
-    }
-    ++seed;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(protocols.size()) *
-                          static_cast<std::int64_t>(2 * per_side));
-}
-
-/// The sort-once fast path: rank the book ONCE per instance (reusing the
+/// The Table-1 inner loop: rank the book ONCE per instance (reusing the
 /// scratch SortedBook's buffers) and hand the shared ranking to every
-/// protocol's clear_sorted.
+/// protocol's clear_sorted.  Items are protocol-clears x book size.
 void BM_SharedSortClear(benchmark::State& state) {
   const auto per_side = static_cast<std::size_t>(state.range(0));
   const OrderBook book = make_book(per_side, 42);
@@ -267,7 +240,6 @@ BENCHMARK(BM_EfficientClear)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_RandomThresholdClear)->Arg(10)->Arg(100)->Arg(1000);
 BENCHMARK(BM_TpdMultiClear)->Arg(10)->Arg(100)->Arg(500);
 BENCHMARK(BM_SortedBookConstruction)->Arg(100)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_LegacyFourProtocolClear)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_SharedSortClear)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_Figure1SweepShared)->Arg(100)->Arg(500)
     ->Unit(benchmark::kMillisecond);

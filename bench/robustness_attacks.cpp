@@ -24,10 +24,12 @@
 //                           [--search-axis 0|1]
 #include <chrono>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "cli/args.h"
 #include "common/rng.h"
 #include "mechanism/manipulation.h"
 #include "mechanism/properties.h"
@@ -379,32 +381,29 @@ int main(int argc, char** argv) {
   bool search_axis = true;
   std::string json_path;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
+  try {
+    const ArgParser args(std::vector<std::string>(argv + 1, argv + argc));
+    const auto count = [&args](const char* key, std::size_t fallback) {
+      return static_cast<std::size_t>(
+          args.get_int_or(key, static_cast<std::int64_t>(fallback)));
     };
-    const char* value = nullptr;
-    if (arg == "--population" && (value = next())) {
-      axis.population = std::max<std::size_t>(2, std::stoull(value));
-    } else if (arg == "--speedup-accounts" && (value = next())) {
-      axis.speedup_accounts = std::max<std::size_t>(1, std::stoull(value));
-    } else if (arg == "--speedup-manipulators" && (value = next())) {
-      axis.speedup_manipulators =
-          std::max<std::size_t>(1, std::stoull(value));
-    } else if (arg == "--grid" && (value = next())) {
-      axis.grid = std::max<std::size_t>(2, std::stoull(value));
-    } else if (arg == "--seed" && (value = next())) {
-      axis.seed = std::stoull(value);
-    } else if (arg == "--assert-search-speedup" && (value = next())) {
-      axis.assert_search_speedup = std::stod(value);
-    } else if (arg == "--search-axis" && (value = next())) {
-      search_axis = std::stoull(value) != 0;
-    } else if (arg == "--json" && (value = next())) {
-      json_path = value;
-    } else {
+    axis.population = std::max<std::size_t>(2, count("population",
+                                                     axis.population));
+    axis.speedup_accounts = std::max<std::size_t>(
+        1, count("speedup-accounts", axis.speedup_accounts));
+    axis.speedup_manipulators = std::max<std::size_t>(
+        1, count("speedup-manipulators", axis.speedup_manipulators));
+    axis.grid = std::max<std::size_t>(2, count("grid", axis.grid));
+    axis.seed = count("seed", axis.seed);
+    axis.assert_search_speedup =
+        args.get_double_or("assert-search-speedup", axis.assert_search_speedup);
+    search_axis = count("search-axis", 1) != 0;
+    json_path = args.get_or("json", json_path);
+    if (!args.command().empty() || !args.unused().empty()) {
       return usage(argv[0]);
     }
+  } catch (const std::invalid_argument&) {
+    return usage(argv[0]);
   }
 
   paper_examples();

@@ -33,10 +33,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "cli/args.h"
 #include "market/live_attack.h"
 #include "protocols/pmd.h"
 #include "protocols/tpd.h"
@@ -81,47 +83,36 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string protocol_name = "tpd";
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
+  try {
+    const ArgParser args(std::vector<std::string>(argv + 1, argv + argc));
+    const auto count = [&args](const char* key, std::size_t fallback) {
+      return static_cast<std::size_t>(
+          args.get_int_or(key, static_cast<std::int64_t>(fallback)));
     };
-    const char* value = nullptr;
-    if (arg == "--honest" && (value = next())) {
-      config.honest = std::stoull(value);
-    } else if (arg == "--attackers" && (value = next())) {
-      config.attackers = std::stoull(value);
-    } else if (arg == "--rounds" && (value = next())) {
-      config.rounds = std::max<std::size_t>(2, std::stoull(value));
-    } else if (arg == "--shards" && (value = next())) {
-      config.shards = std::max<std::size_t>(1, std::stoull(value));
-    } else if (arg == "--threads" && (value = next())) {
-      config.threads = std::stoull(value);
-    } else if (arg == "--search-threads" && (value = next())) {
-      config.search_threads = std::stoull(value);
-    } else if (arg == "--search-budget" && (value = next())) {
-      config.search_budget = std::stoull(value);
-    } else if (arg == "--grid-points" && (value = next())) {
-      config.grid_points = std::stoull(value);
-    } else if (arg == "--max-declarations" && (value = next())) {
-      config.max_declarations = std::stoull(value);
-    } else if (arg == "--seed" && (value = next())) {
-      config.seed = std::stoull(value);
-    } else if (arg == "--warm" && (value = next())) {
-      config.warm = std::stoull(value) != 0;
-    } else if (arg == "--protocol" && (value = next())) {
-      protocol_name = value;
-    } else if (arg == "--reps" && (value = next())) {
-      reps = std::max<std::size_t>(1, std::stoull(value));
-    } else if (arg == "--json" && (value = next())) {
-      json_path = value;
-    } else if (arg == "--assert-warm-speedup" && (value = next())) {
-      assert_warm_speedup = std::stod(value);
-    } else if (arg == "--assert-ns-per-message" && (value = next())) {
-      assert_ns_per_message = std::stod(value);
-    } else {
+    config.honest = count("honest", config.honest);
+    config.attackers = count("attackers", config.attackers);
+    config.rounds = std::max<std::size_t>(2, count("rounds", config.rounds));
+    config.shards = std::max<std::size_t>(1, count("shards", config.shards));
+    config.threads = count("threads", config.threads);
+    config.search_threads = count("search-threads", config.search_threads);
+    config.search_budget = count("search-budget", config.search_budget);
+    config.grid_points = count("grid-points", config.grid_points);
+    config.max_declarations =
+        count("max-declarations", config.max_declarations);
+    config.seed = count("seed", config.seed);
+    config.warm = count("warm", config.warm ? 1 : 0) != 0;
+    protocol_name = args.get_or("protocol", protocol_name);
+    reps = std::max<std::size_t>(1, count("reps", reps));
+    json_path = args.get_or("json", json_path);
+    assert_warm_speedup =
+        args.get_double_or("assert-warm-speedup", assert_warm_speedup);
+    assert_ns_per_message =
+        args.get_double_or("assert-ns-per-message", assert_ns_per_message);
+    if (!args.command().empty() || !args.unused().empty()) {
       return usage(argv[0]);
     }
+  } catch (const std::invalid_argument&) {
+    return usage(argv[0]);
   }
 
   // TPD is the paper's false-name-proof protocol (attack success rate

@@ -562,7 +562,6 @@ int cmd_market_bench(const ArgParser& args, std::ostream& out,
   config.drop_probability = args.get_double_or("drop", 0.0);
   config.duplicate_probability = args.get_double_or("duplicate", 0.0);
   config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
-  config.adaptive = args.get_int_or("adaptive", 1) != 0;
   const Money threshold = money(args.get_double_or("threshold", 50.0));
   const std::optional<std::string> metrics_out = args.get("metrics-out");
   const std::optional<std::string> metrics_json = args.get("metrics-json");
@@ -613,7 +612,7 @@ int cmd_market_bench(const ArgParser& args, std::ostream& out,
       << "messages: " << messages << " (sent " << result.bus.sent
       << ", duplicated " << result.bus.duplicated << ", dropped "
       << result.bus.dropped << ", dead-lettered " << result.bus.dead_lettered
-      << ", forwarded " << result.bus.forwarded << ")\n";
+      << ")\n";
   for (std::size_t s = 0; s < result.shard_bus.size(); ++s) {
     const BusStats& shard = result.shard_bus[s];
     out << "  shard " << s << ": delivered " << shard.delivered
@@ -626,10 +625,7 @@ int cmd_market_bench(const ArgParser& args, std::ostream& out,
       << result.book.entries_shifted << " entries shifted, "
       << result.book.chunk_splits << " chunk splits, "
       << result.book.sorts_at_close << " sorts at close\n"
-      << "epochs: " << result.epoch.epochs << "  barrier crossings: "
-      << result.epoch.barriers << "  widened: " << result.epoch.widened
-      << "  cross-shard injected: " << result.epoch.injected
-      << "  (adaptive " << (config.adaptive ? "on" : "off") << ")\n"
+      << "drives: " << result.epoch.barriers << " (one fork-join each)\n"
       << "sim time: " << result.sim_time.micros << " us  wall: "
       << format_fixed(elapsed, 3) << " s\n"
       << "throughput: "
@@ -828,13 +824,11 @@ int cmd_help(std::ostream& out) {
          "            --metrics-json FILE --trace-out FILE (Chrome trace)\n"
          "            --trace-wallclock (wall timestamps; nondeterministic)\n"
          "            --no-telemetry (runtime-disabled baseline)\n"
-         "            --adaptive 0|1 (adaptive epoch windows; default on)\n"
-         "            prints live-book work counters and epoch barrier\n"
-         "            crossings; warns when threads oversubscribe the\n"
+         "            prints live-book work counters and the drive\n"
+         "            count; warns when threads oversubscribe the\n"
          "            host's CPUs; the scaling axes and the\n"
-         "            --assert-ns-per-message / --assert-speedup /\n"
-         "            --assert-barrier-reduction gates live in\n"
-         "            bench/market_throughput\n"
+         "            --assert-ns-per-message / --assert-speedup gates\n"
+         "            live in bench/market_throughput\n"
          "  metrics-dump  run a small session, dump its metrics to stdout\n"
          "            --format prom|json|table --clients N --rounds R\n"
          "            --shards S --threads T --seed N\n"

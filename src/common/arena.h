@@ -1,10 +1,10 @@
 // Round-lifetime bump allocator.
 //
 // The market hot path allocates the same short-lived scratch every round:
-// the open round's submitted-bid table, outcome-validation lookup lanes,
-// the epoch driver's mailbox merge keys.  Each is dead by the next round
-// (or epoch) boundary, so a bump arena with an epoch reset replaces that
-// round-frequency heap traffic with pointer arithmetic: allocate() bumps
+// the open round's submitted-bid table and outcome-validation lookup
+// lanes.  Each is dead by the next round boundary, so a bump arena with a
+// per-round reset replaces that round-frequency heap traffic with pointer
+// arithmetic: allocate() bumps
 // an offset inside the current block, reset() retires every allocation at
 // once and keeps the memory for the next round.
 //
@@ -14,9 +14,8 @@
 // contiguous block.  Stats expose the high-water mark (peak live bytes)
 // so telemetry can pin the per-round footprint.
 //
-// Not thread-safe by design — each arena is owned by one shard (or the
-// single-threaded barrier completion step), matching the exchange's
-// one-world-per-thread layout.  Only trivially-destructible types may be
+// Not thread-safe by design — each arena is owned by one shard, matching
+// the exchange's one-world-per-thread layout.  Only trivially-destructible types may be
 // placed in the arena: reset() never runs destructors.
 #pragma once
 

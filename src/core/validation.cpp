@@ -30,26 +30,12 @@ struct MapContext {
   std::size_t count_fill(BidId id) { return ++fill_counts[id]; }
 };
 
-/// Dense lookup context over persistent scratch: direct index by bid id.
-/// Eligibility (ids bounded by the lane sizes) is checked by the caller.
+/// Dense lookup context over scratch bound by bind_validation_scratch:
+/// direct index by bid id.
 struct DenseContext {
   ValidationScratch& scratch;
   explicit DenseContext(ValidationScratch& s) : scratch(s) {}
 
-  void bind(const std::vector<BidEntry>& buyers,
-            const std::vector<BidEntry>& sellers, std::size_t id_limit) {
-    scratch.buyer_by_id.assign(id_limit, nullptr);
-    scratch.seller_by_id.assign(id_limit, nullptr);
-    scratch.fill_counts.assign(id_limit, 0);
-    for (const BidEntry& e : buyers) {
-      const BidEntry*& slot = scratch.buyer_by_id[e.id.value()];
-      if (slot == nullptr) slot = &e;
-    }
-    for (const BidEntry& e : sellers) {
-      const BidEntry*& slot = scratch.seller_by_id[e.id.value()];
-      if (slot == nullptr) slot = &e;
-    }
-  }
   const BidEntry* find(Side side, BidId id) const {
     const auto& lane =
         side == Side::kBuyer ? scratch.buyer_by_id : scratch.seller_by_id;
@@ -173,13 +159,45 @@ ValidationErrors validate_outcome(const SortedBook& book,
                                   const Outcome& outcome,
                                   ValidationScratch& scratch,
                                   const ValidationOptions& options) {
+  bind_validation_scratch(book, scratch);
+  return validate_bound_outcome(book, outcome, scratch, options);
+}
+
+void bind_validation_scratch(const SortedBook& book,
+                             ValidationScratch& scratch) {
   std::size_t id_limit = 0;
-  if (!dense_ids(book.buyers(), book.sellers(), id_limit)) {
+  scratch.dense = dense_ids(book.buyers(), book.sellers(), id_limit);
+  if (!scratch.dense) return;
+  scratch.buyer_by_id.assign(id_limit, nullptr);
+  scratch.seller_by_id.assign(id_limit, nullptr);
+  scratch.fill_counts.assign(id_limit, 0);
+  for (const BidEntry& e : book.buyers()) {
+    const BidEntry*& slot = scratch.buyer_by_id[e.id.value()];
+    if (slot == nullptr) slot = &e;
+  }
+  for (const BidEntry& e : book.sellers()) {
+    const BidEntry*& slot = scratch.seller_by_id[e.id.value()];
+    if (slot == nullptr) slot = &e;
+  }
+}
+
+ValidationErrors validate_bound_outcome(const SortedBook& book,
+                                        const Outcome& outcome,
+                                        ValidationScratch& scratch,
+                                        const ValidationOptions& options) {
+  if (!scratch.dense) {
     return validate_mapped(book.buyers(), book.sellers(), outcome, options);
   }
   DenseContext ctx(scratch);
-  ctx.bind(book.buyers(), book.sellers(), id_limit);
-  return validate_lanes(outcome, options, ctx);
+  ValidationErrors errors = validate_lanes(outcome, options, ctx);
+  // Only a fill's own bid id was counted (an unknown id never is), so
+  // zeroing those ids restores the all-zero counts for the next outcome.
+  for (const Fill& fill : outcome.fills()) {
+    if (fill.bid.value() < scratch.fill_counts.size()) {
+      scratch.fill_counts[fill.bid.value()] = 0;
+    }
+  }
+  return errors;
 }
 
 void expect_valid_outcome(const OrderBook& book, const Outcome& outcome,
@@ -196,6 +214,13 @@ void expect_valid_outcome(const SortedBook& book, const Outcome& outcome,
                           ValidationScratch& scratch,
                           const ValidationOptions& options) {
   throw_on_errors(validate_outcome(book, outcome, scratch, options));
+}
+
+void expect_valid_bound_outcome(const SortedBook& book,
+                                const Outcome& outcome,
+                                ValidationScratch& scratch,
+                                const ValidationOptions& options) {
+  throw_on_errors(validate_bound_outcome(book, outcome, scratch, options));
 }
 
 }  // namespace fnda

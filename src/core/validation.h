@@ -54,13 +54,30 @@ ValidationErrors validate_outcome(const SortedBook& book,
 struct ValidationScratch {
   std::vector<const BidEntry*> buyer_by_id;
   std::vector<const BidEntry*> seller_by_id;
+  /// All zero between validations: each one resets what it counted.
   std::vector<std::uint32_t> fill_counts;
+  /// Whether the last bind found dense ids (else: the hashed path).
+  bool dense = false;
 };
 
 ValidationErrors validate_outcome(const SortedBook& book,
                                   const Outcome& outcome,
                                   ValidationScratch& scratch,
                                   const ValidationOptions& options = {});
+
+/// Binds `scratch` to `book` once for several outcomes cleared from it:
+/// the id-indexed lanes are filled here, so each validate_bound_outcome
+/// afterwards touches only its own outcome's fills.  Re-bind whenever the
+/// book changes.
+void bind_validation_scratch(const SortedBook& book,
+                             ValidationScratch& scratch);
+
+/// validate_outcome against the book `scratch` was last bound to (pass
+/// that same book); same errors, same order, same strings.
+ValidationErrors validate_bound_outcome(const SortedBook& book,
+                                        const Outcome& outcome,
+                                        ValidationScratch& scratch,
+                                        const ValidationOptions& options = {});
 
 /// Throws std::logic_error listing all violations if any check fails.
 void expect_valid_outcome(const OrderBook& book, const Outcome& outcome,
@@ -70,5 +87,9 @@ void expect_valid_outcome(const SortedBook& book, const Outcome& outcome,
 void expect_valid_outcome(const SortedBook& book, const Outcome& outcome,
                           ValidationScratch& scratch,
                           const ValidationOptions& options = {});
+void expect_valid_bound_outcome(const SortedBook& book,
+                                const Outcome& outcome,
+                                ValidationScratch& scratch,
+                                const ValidationOptions& options = {});
 
 }  // namespace fnda

@@ -25,20 +25,6 @@ MessageBus::MessageBus(EventQueue& queue, BusConfig config, Rng rng)
     : queue_(queue),
       config_(config),
       rng_(rng),
-      owned_space_(std::make_unique<AddressSpace>()),
-      space_(owned_space_.get()),
-      next_message_(config.first_message_id) {
-  queue_.set_delivery_sink(this);
-}
-
-MessageBus::MessageBus(EventQueue& queue, BusConfig config, Rng rng,
-                       Fabric& fabric, std::uint32_t shard)
-    : queue_(queue),
-      config_(config),
-      rng_(rng),
-      space_(&fabric.addresses()),
-      fabric_(&fabric),
-      shard_(shard),
       next_message_(config.first_message_id) {
   queue_.set_delivery_sink(this);
 }
@@ -62,25 +48,23 @@ void MessageBus::bind_telemetry(obs::ShardTelemetry& telemetry) {
   registry.counter_fn("fnda_bus_dead_lettered_total", [this] {
     return static_cast<std::uint64_t>(stats_.dead_lettered);
   });
-  registry.counter_fn("fnda_bus_forwarded_total", [this] {
-    return static_cast<std::uint64_t>(stats_.forwarded);
-  });
-  registry.counter_fn("fnda_mailbox_overflow_total", [this] {
-    return static_cast<std::uint64_t>(stats_.mailbox_overflow);
-  });
   delivery_latency_hist_ =
       &registry.histogram("fnda_bus_delivery_latency_us");
   batch_size_hist_ = &registry.histogram("fnda_queue_batch_size");
 }
 
 AddressId MessageBus::intern(const std::string& address) {
-  const AddressId id = space_->intern(address);
-  ensure_directory(id.value());
-  return id;
+  const auto [it, inserted] =
+      ids_.try_emplace(address, static_cast<std::uint32_t>(names_.size()));
+  if (inserted) {
+    names_.push_back(address);
+    ensure_directory(it->second);
+  }
+  return AddressId{it->second};
 }
 
 const std::string& MessageBus::name_of(AddressId address) const {
-  return space_->name_of(address);
+  return names_.at(address.value());
 }
 
 AddressId MessageBus::attach(const std::string& address, Endpoint& endpoint) {
@@ -90,23 +74,22 @@ AddressId MessageBus::attach(const std::string& address, Endpoint& endpoint) {
 }
 
 void MessageBus::attach(AddressId address, Endpoint& endpoint) {
-  if (address.value() >= space_->size()) {
+  if (address.value() >= names_.size()) {
     throw std::out_of_range("MessageBus::attach: unknown AddressId");
   }
   DirectoryEntry& entry = ensure_directory(address.value());
   entry.endpoint = &endpoint;
   ++entry.binding;
-  space_->claim(address, shard_);
 }
 
 void MessageBus::detach(const std::string& address) {
-  const std::optional<AddressId> id = space_->lookup(address);
-  if (!id.has_value()) return;
-  detach(*id);
+  const auto it = ids_.find(address);
+  if (it == ids_.end()) return;
+  detach(AddressId{it->second});
 }
 
 void MessageBus::detach(AddressId address) {
-  if (address.value() >= space_->size()) {
+  if (address.value() >= names_.size()) {
     throw std::out_of_range("MessageBus::detach: unknown AddressId");
   }
   DirectoryEntry& entry = ensure_directory(address.value());
@@ -148,87 +131,6 @@ SimTime MessageBus::draw_latency() {
 
 void MessageBus::schedule_slot(std::uint32_t slot, std::uint64_t key) {
   queue_.schedule_delivery(queue_.now() + draw_latency(), slot, key);
-}
-
-void MessageBus::forward_remote(MessageId id, AddressId from, AddressId to,
-                                std::uint32_t owner, Message payload) {
-  if (fabric_->topology() == ShardTopology::kIsolated) {
-    // The fabric declared no cross-shard links and the epoch driver has
-    // widened its windows on that basis; a send that contradicts the
-    // declaration must fail loudly (and deterministically — the send
-    // sequence is a pure function of shard-local event history) instead
-    // of arriving after the destination ran past its delivery time.
-    throw std::logic_error(
-        "MessageBus: cross-shard send to '" +
-        fabric_->addresses().name_of(to) + "' (owner shard " +
-        std::to_string(owner) + ", sender shard " + std::to_string(shard_) +
-        ") on a fabric declared ShardTopology::kIsolated");
-  }
-  ++stats_.forwarded;
-  RemoteEnvelope envelope;
-  envelope.id = id;
-  envelope.from = from;
-  envelope.to = to;
-  envelope.sent_at = queue_.now();
-  envelope.deliver_at = queue_.now() + draw_latency();
-  envelope.source_shard = shard_;
-  envelope.payload = std::move(payload);
-  // Draw order mirrors the local path: primary jitter, duplicate coin,
-  // then the duplicate's own jitter — so routing a message remotely
-  // instead of locally never shifts the RNG stream.
-  if (!rng_.bernoulli(config_.duplicate_probability)) {
-    push_remote(owner, std::move(envelope));
-    return;
-  }
-  ++stats_.duplicated;
-  RemoteEnvelope duplicate = envelope;
-  duplicate.deliver_at = queue_.now() + draw_latency();
-  push_remote(owner, std::move(envelope));
-  push_remote(owner, std::move(duplicate));
-}
-
-void MessageBus::push_remote(std::uint32_t owner, RemoteEnvelope&& envelope) {
-  envelope.sequence = next_remote_sequence_++;
-  if (!fabric_->forward(owner, std::move(envelope))) {
-    ++stats_.mailbox_overflow;
-    ++stats_.dropped;
-  }
-}
-
-void MessageBus::inject(const RemoteEnvelope& remote) {
-  const std::uint32_t slot = acquire_slot();
-  Envelope& envelope = slot_ref(slot);
-  envelope.id = remote.id;
-  envelope.from = remote.from;
-  envelope.to = remote.to;
-  envelope.sent_at = remote.sent_at;
-  envelope.delivered_at = SimTime{};
-  envelope.payload = remote.payload;
-  const std::uint64_t key = pack_key(
-      remote.to.value(), ensure_directory(remote.to.value()).binding);
-  // A deliver_at in this shard's past (possible when lookahead is tiny)
-  // clamps to now_ inside schedule_delivery — deterministically, since
-  // injection happens at a barrier when now_ is a pure function of the
-  // event history.
-  queue_.schedule_delivery(remote.deliver_at, slot, key);
-}
-
-void MessageBus::inject_batch(RemoteEnvelope* const* batch,
-                              std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    RemoteEnvelope& remote = *batch[i];
-    const std::uint32_t slot = acquire_slot();
-    Envelope& envelope = slot_ref(slot);
-    envelope.id = remote.id;
-    envelope.from = remote.from;
-    envelope.to = remote.to;
-    envelope.sent_at = remote.sent_at;
-    envelope.delivered_at = SimTime{};
-    envelope.payload = std::move(remote.payload);
-    const std::uint64_t key = pack_key(
-        remote.to.value(), ensure_directory(remote.to.value()).binding);
-    queue_.schedule_delivery(remote.deliver_at, slot, key);
-  }
 }
 
 void MessageBus::deliver_run(SimTime at, const EventQueue::Delivery* run,

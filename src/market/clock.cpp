@@ -216,13 +216,7 @@ void EventQueue::execute_one() {
     seek_instant();
     std::vector<Entry>& list = instant_[instant_offset_];
     entry = list[instant_index_++];
-    if (instant_index_ >= list.size()) {
-      list.clear();
-      instant_occupied_[instant_offset_ >> 6] &=
-          ~(std::uint64_t{1} << (instant_offset_ & 63));
-      ++instant_offset_;
-      instant_index_ = 0;
-    }
+    retire_if_exhausted(list);
     --instant_pending_;
   }
   --size_;
@@ -291,18 +285,28 @@ std::size_t EventQueue::drain_ready(std::size_t budget, SimTime until) {
     size_ -= n;
     executed += n;
     now_ = at;
-    sink_->deliver_run(at, batch_scratch_.data(), n);  // n <= scratch size
     // Clean up after the sink call: handlers may have appended to the
-    // list (same-instant sends), in which case it is not exhausted.
-    if (instant_index_ >= list.size()) {
-      list.clear();
-      instant_occupied_[instant_offset_ >> 6] &=
-          ~(std::uint64_t{1} << (instant_offset_ & 63));
-      ++instant_offset_;
-      instant_index_ = 0;
+    // list (same-instant sends), in which case it is not exhausted.  A
+    // throwing handler gets the same cleanup, so the run it was part of
+    // stays consumed and the queue stays consistent for the next drive.
+    try {
+      sink_->deliver_run(at, batch_scratch_.data(), n);  // n <= scratch size
+    } catch (...) {
+      retire_if_exhausted(list);
+      throw;
     }
+    retire_if_exhausted(list);
   }
   return executed;
+}
+
+void EventQueue::retire_if_exhausted(std::vector<Entry>& list) {
+  if (instant_index_ < list.size()) return;
+  list.clear();
+  instant_occupied_[instant_offset_ >> 6] &=
+      ~(std::uint64_t{1} << (instant_offset_ & 63));
+  ++instant_offset_;
+  instant_index_ = 0;
 }
 
 std::size_t EventQueue::run(std::size_t max_events) {

@@ -169,6 +169,9 @@ class EventQueue {
   void clear_occupied(std::size_t slot_index);
   /// Distance (in buckets) from cursor_ to the first occupied wheel slot.
   std::size_t next_occupied_distance() const;
+  /// Retires the instant list being drained once every entry in it has
+  /// executed.
+  void retire_if_exhausted(std::vector<Entry>& list);
   /// Advances instant_offset_ to the next non-empty instant list.
   void seek_instant();
   /// The timestamp of the next entry to execute (early_ head, or the

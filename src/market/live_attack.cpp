@@ -67,7 +67,6 @@ LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
           static_cast<std::int64_t>(config.max_declarations + 1) +
       1'000);
   mx.seed = config.seed;
-  mx.adaptive_epochs = config.adaptive;
   mx.telemetry = config.telemetry;
 
   MultiServerExchange exchange(protocol, mx);
@@ -227,7 +226,6 @@ LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
 
   result.sim_time = exchange.now();
   result.bus = exchange.bus_stats();
-  result.epoch = exchange.epoch_totals();
   result.attack = scheduler.counters();
   result.search_wall_ns = scheduler.search_wall_ns();
   result.planned_gain_total = scheduler.planned_gain_total();

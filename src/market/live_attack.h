@@ -18,7 +18,6 @@
 #include "core/protocol.h"
 #include "market/bus.h"
 #include "market/clock.h"
-#include "market/epoch.h"
 #include "mechanism/search_telemetry.h"
 #include "obs/telemetry.h"
 
@@ -58,7 +57,6 @@ struct LiveAttackConfig {
   std::uint64_t seed = 1;
   std::int64_t value_low = 1;
   std::int64_t value_high = 100;
-  bool adaptive = true;
   obs::TelemetryOptions telemetry{};
 };
 
@@ -74,7 +72,6 @@ struct LiveAttackResult {
   std::size_t bids_accepted = 0;
   std::size_t trades = 0;
   BusStats bus{};
-  EpochStats epoch{};
   SimTime sim_time{};
   /// Wall time of each completed round (open → settled), nanoseconds.
   std::vector<std::uint64_t> round_wall_ns;

@@ -1,6 +1,9 @@
 #include "market/multi_exchange.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -24,9 +27,6 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
   }
   threads_ = std::min(threads_, config_.shards);
 
-  fabric_ = std::make_unique<Fabric>(config_.shards, config_.mailbox_capacity);
-  fabric_->set_topology(config_.topology);
-
   // RNG derivation order is part of the replay contract.  The seed root
   // hands out one stream for the bus layer, then one server stream per
   // shard in shard order — exactly the draws the shared-queue engine
@@ -43,9 +43,8 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
     bus_config.message_id_stride = config_.shards;
     const Rng bus_rng =
         config_.shards == 1 ? bus_master : bus_master.split();
-    shard.bus = std::make_unique<MessageBus>(shard.queue, bus_config, bus_rng,
-                                             *fabric_,
-                                             static_cast<std::uint32_t>(s));
+    shard.bus =
+        std::make_unique<MessageBus>(shard.queue, bus_config, bus_rng);
     shard.registry = IdentityRegistry(s, config_.shards);
     shard.escrow =
         std::make_unique<EscrowService>(shard.cash, shard.registry);
@@ -56,15 +55,6 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
         *shard.escrow, *shard.settlement, shard.audit, root.split(),
         config_.server);
   }
-
-  std::vector<EpochShard> loops;
-  loops.reserve(shards_.size());
-  for (Shard& shard : shards_) {
-    loops.push_back(EpochShard{&shard.queue, shard.bus.get()});
-  }
-  const SimTime lookahead = std::max(SimTime{1}, config_.bus.base_latency);
-  driver_ = std::make_unique<EpochDriver>(*fabric_, std::move(loops),
-                                          lookahead, config_.adaptive_epochs);
 
   if (config_.telemetry.enabled) {
     telemetry_ = std::make_unique<obs::SessionTelemetry>(config_.shards,
@@ -82,18 +72,30 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
       shards_[s].server->bind_telemetry(shard_telemetry, *telemetry_);
       shards_[s].escrow->bind_metrics(shard_telemetry.metrics);
       shards_[s].settlement->bind_metrics(shard_telemetry.metrics);
+      // Drive instruments live in each shard's own registry so the merged
+      // snapshot folds them in canonical shard order.
+      depth_hists_.push_back(
+          &shard_telemetry.metrics.histogram("fnda_queue_depth"));
+      depth_peaks_.push_back(&shard_telemetry.metrics.gauge(
+          "fnda_queue_depth_peak", obs::GaugeMerge::kMax));
+      if (config_.telemetry.wallclock) {
+        join_wait_hists_.push_back(
+            &shard_telemetry.metrics.histogram("fnda_epoch_shard_stall_us"));
+      }
     }
+    obs::MetricsRegistry& driver_registry = telemetry_->driver().metrics;
+    driver_registry.counter_fn("fnda_epoch_barriers_total", [this] {
+      return static_cast<std::uint64_t>(epoch_totals_.barriers);
+    });
     if (config_.telemetry.wallclock) {
       telemetry_->driver().trace.set_clock(
           [t = telemetry_.get()] { return t->wall_micros(); });
     }
-    driver_->bind_telemetry(*telemetry_);
     // Threshold-sweep kernel utilization, exposed as deltas since bind:
     // the kernel counters are process-global (sim tools share them), so
     // anchoring at bind time keeps this session's metrics a function of
     // this session's work — zero for market sessions, which never sweep —
     // and therefore identical across kernel builds and thread counts.
-    obs::MetricsRegistry& driver_registry = telemetry_->driver().metrics;
     const simd::KernelCounters& kernel = simd::kernel_counters();
     driver_registry.counter_fn(
         "fnda_sweep_kernel_vector_elems_total",
@@ -190,18 +192,74 @@ std::size_t MultiServerExchange::paused_count() const {
   return count;
 }
 
-EpochStats MultiServerExchange::drive_until(
-    const std::vector<SimTime>& bounds) {
-  const EpochStats stats = driver_->drive_until(bounds, threads_);
-  epoch_totals_.merge(stats);
-  return stats;
+void MultiServerExchange::drive_until(const std::vector<SimTime>& bounds) {
+  if (bounds.size() != shards_.size()) {
+    throw std::invalid_argument("drive_until: one bound per shard required");
+  }
+  drive(&bounds);
 }
 
-void MultiServerExchange::drive_to_quiescence() {
-  // One full drive's stats become last_drive_ — run_round keeps reporting
-  // exactly what it always has, whether or not bounded drives preceded it.
-  last_drive_ = driver_->drive(threads_);
-  epoch_totals_.merge(last_drive_);
+void MultiServerExchange::drive_to_quiescence() { drive(nullptr); }
+
+void MultiServerExchange::drive(const std::vector<SimTime>* bounds) {
+  // Fork: workers claim shards off a shared cursor, so a worker that
+  // finishes a cheap shard takes the next one instead of idling.  A
+  // claimed shard's queue, bus, server and shard registry are touched by
+  // that worker only; thread start and join order those writes against
+  // the driver thread.  The calling thread is worker 0.
+  const std::size_t count = shards_.size();
+  std::vector<std::exception_ptr> errors(count);
+  std::vector<std::int64_t> finished_wall(join_wait_hists_.size());
+  std::atomic<std::size_t> cursor{0};
+  const bool wall = telemetry_ != nullptr && telemetry_->wallclock();
+  const std::int64_t span_start = telemetry_ == nullptr ? 0
+                                  : wall ? telemetry_->wall_micros()
+                                         : now().micros;
+  auto worker = [&] {
+    for (;;) {
+      const std::size_t s = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (s >= count) return;
+      EventQueue& queue = shards_[s].queue;
+      if (!depth_hists_.empty()) {
+        const auto depth = static_cast<std::int64_t>(queue.pending());
+        depth_hists_[s]->record(depth);
+        depth_peaks_[s]->raise_to(depth);
+      }
+      try {
+        constexpr std::size_t kNoCap = std::numeric_limits<std::size_t>::max();
+        if (bounds == nullptr) {
+          queue.run(kNoCap);
+        } else {
+          // run_until is inclusive: only events strictly before the bound.
+          queue.run_until((*bounds)[s] - SimTime{1}, kNoCap);
+        }
+      } catch (...) {
+        errors[s] = std::current_exception();
+      }
+      if (!finished_wall.empty()) finished_wall[s] = telemetry_->wall_micros();
+    }
+  };
+  const std::size_t workers = std::min(threads_, count);
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
+  for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(worker);
+  worker();
+  for (std::thread& thread : pool) thread.join();
+
+  // Join.
+  ++epoch_totals_.barriers;
+  if (telemetry_ != nullptr) {
+    const std::int64_t span_end = wall ? telemetry_->wall_micros()
+                                       : now().micros;
+    for (std::size_t s = 0; s < finished_wall.size(); ++s) {
+      join_wait_hists_[s]->record(span_end - finished_wall[s]);
+    }
+    telemetry_->driver().trace.record_span("drive", "exchange", span_start,
+                                           span_end - span_start);
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error != nullptr) std::rethrow_exception(error);
+  }
 }
 
 std::size_t MultiServerExchange::rounds_completed() const {

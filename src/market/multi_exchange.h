@@ -6,32 +6,40 @@
 // the identity space across N AuctionServers by owner-account hash —
 // every identity an account mints trades on that account's shard — and,
 // unlike the PR 2 logical partition, gives each shard a *complete*
-// private world: its own EventQueue, MessageBus (envelope slab included),
-// identity registry, ledgers, escrow, settlement engine, and audit log.
-// Nothing mutable is shared on the hot path; shards are stitched together
-// by a Fabric (shared address space + per-shard MPSC mailboxes) and
-// driven to quiescence by an EpochDriver on `threads` workers.
+// private world: its own EventQueue, MessageBus (envelope slab and
+// address table included), identity registry, ledgers, escrow, settlement
+// engine, and audit log.  No message ever crosses shards: every client is
+// wired to its account's home-shard server, and every server replies only
+// to its own clients.  A drive is therefore a fork-join — `threads`
+// workers claim shards off an atomic cursor and run each claimed shard's
+// event queue to quiescence, then join.
 //
 // Determinism: results are bit-identical for every `threads` value —
-// per-shard RNG streams, strided id namespaces (messages and identities),
-// and the epoch barrier's canonical mailbox merge remove every source of
-// cross-thread nondeterminism.  With shards == 1 the exchange reproduces
-// the single-server ExchangeSimulation's output exactly, RNG draw for
-// RNG draw.
+// each shard's run is a pure function of its own state (per-shard RNG
+// streams, strided id namespaces for messages and identities), and no
+// state crosses shards, so the order in which workers happen to claim
+// them cannot change any output.  With shards == 1 the exchange
+// reproduces the single-server ExchangeSimulation's output exactly, RNG
+// draw for RNG draw.
 #pragma once
 
+#include <cstddef>
 #include <deque>
 #include <memory>
 #include <vector>
 
 #include "market/client.h"
-#include "market/epoch.h"
-#include "market/fabric.h"
 #include "market/runtime_config.h"
 #include "market/server.h"
 #include "obs/telemetry.h"
 
 namespace fnda {
+
+/// Drive accounting.  `barriers` counts fork-join synchronisations: one
+/// per drive, the same at every thread count.
+struct EpochStats {
+  std::size_t barriers = 0;
+};
 
 struct MultiExchangeConfig {
   /// Number of independent auction servers (>= 1).
@@ -40,23 +48,6 @@ struct MultiExchangeConfig {
   /// above `shards` are clamped (a shard is owned by one thread).  Every
   /// setting produces bit-identical results.
   std::size_t threads = 1;
-  /// Capacity of each shard's inbound cross-shard mailbox (rounded up to
-  /// a power of two).  A full mailbox drops the message, deterministically,
-  /// at the sender (BusStats::mailbox_overflow).
-  std::size_t mailbox_capacity = std::size_t{1} << 16;
-  /// Declared cross-shard communication structure.  The default,
-  /// kIsolated, encodes the identity-partitioned deployment contract:
-  /// every client is wired to its account's home-shard server and every
-  /// server replies to its own shard's clients, so no message ever
-  /// crosses shards — which lets the adaptive epoch driver run shards to
-  /// quiescence independently between barriers.  The declaration is
-  /// enforced (a cross-shard send throws at the sender); a deployment
-  /// that routes traffic between shards must declare kAllToAll.
-  ShardTopology topology = ShardTopology::kIsolated;
-  /// Adaptive epoch windows (see EpochDriver): widen the window to the
-  /// true causal bound when shard head times prove it safe, cutting
-  /// barrier crossings.  Off forces the fixed-lookahead schedule.
-  bool adaptive_epochs = true;
   BusConfig bus{};
   ServerConfig server{};
   ClientConfig client{};
@@ -99,10 +90,13 @@ class MultiServerExchange {
   /// skips paused shards, returning RoundId::invalid() in their slots.
   std::vector<RoundId> open_rounds(SimTime open_for);
   /// Bounded drive: shard `s` executes only events strictly before
-  /// `bounds[s]`; later events stay queued.  Folds into epoch_totals()
-  /// but leaves last_drive() alone (it reports full drives).
-  EpochStats drive_until(const std::vector<SimTime>& bounds);
-  /// Drives every shard to quiescence (the tail of run_round).
+  /// `bounds[s]` (one entry per shard); events at or beyond its bound stay
+  /// queued for a later drive.  If a shard's event handler throws, the
+  /// other shards still run to their bounds and the lowest-index shard's
+  /// exception is rethrown after the join; the next drive starts clean.
+  void drive_until(const std::vector<SimTime>& bounds);
+  /// Drives every shard to quiescence (the tail of run_round); failures
+  /// propagate as in drive_until.
   void drive_to_quiescence();
 
   /// Refunds every remaining deposit (see ExchangeSimulation).
@@ -148,7 +142,6 @@ class MultiServerExchange {
   GoodsLedger& goods(std::size_t shard) { return shards_[shard].goods; }
   EscrowService& escrow(std::size_t shard) { return *shards_[shard].escrow; }
   AuditLog& audit(std::size_t shard) { return shards_[shard].audit; }
-  Fabric& fabric() { return *fabric_; }
 
   // --- merged views (session-end reporting; never on the hot path) -----
   /// Latest shard clock (every shard quiesces at its own last event).
@@ -179,10 +172,7 @@ class MultiServerExchange {
   const std::deque<std::unique_ptr<TradingClient>>& traders() const {
     return traders_;
   }
-  /// Epoch/injection counters from the most recent drive.
-  const EpochStats& last_drive() const { return last_drive_; }
-  /// Epoch counters accumulated across every drive of this exchange —
-  /// the session-level barrier-crossing record the bench reports.
+  /// Joins accumulated across every drive of this exchange.
   const EpochStats& epoch_totals() const { return epoch_totals_; }
 
   /// Session telemetry, or nullptr when the config disabled it.  Merged
@@ -206,6 +196,10 @@ class MultiServerExchange {
     std::unique_ptr<AuctionServer> server;
   };
 
+  /// The fork-join behind both drives: every shard's queue runs to
+  /// quiescence, or with `bounds`, through bounds[s] − 1.
+  void drive(const std::vector<SimTime>* bounds);
+
   MultiExchangeConfig config_;
   const DoubleAuctionProtocol* protocol_ = nullptr;
   std::size_t threads_ = 1;
@@ -217,12 +211,14 @@ class MultiServerExchange {
   /// Declared before the shards so it outlives every component holding
   /// instrument pointers into it.
   std::unique_ptr<obs::SessionTelemetry> telemetry_;
-  std::unique_ptr<Fabric> fabric_;
   std::deque<Shard> shards_;
-  std::unique_ptr<EpochDriver> driver_;
   std::deque<std::unique_ptr<TradingClient>> traders_;
-  EpochStats last_drive_;
   EpochStats epoch_totals_;
+  // Drive telemetry (empty until telemetry binds): per-shard queue-depth
+  // samples, and in wallclock mode each shard's wait at the join.
+  std::vector<obs::Histogram*> depth_hists_;
+  std::vector<obs::Gauge*> depth_peaks_;
+  std::vector<obs::Histogram*> join_wait_hists_;
   std::uint64_t next_account_ = 1;  // 0 is the exchange
   std::uint64_t next_client_ = 0;
 };

@@ -21,7 +21,6 @@ ThroughputResult run_throughput_session(const DoubleAuctionProtocol& protocol,
   mx.initial_cash = Money::from_units(
       static_cast<std::int64_t>(config.rounds + 1) * 10 + 1'000);
   mx.seed = config.seed;
-  mx.adaptive_epochs = config.adaptive;
   mx.telemetry = config.telemetry;
 
   MultiServerExchange exchange(protocol, mx);

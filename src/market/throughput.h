@@ -16,7 +16,7 @@
 #include "core/protocol.h"
 #include "market/bus.h"
 #include "market/clock.h"
-#include "market/epoch.h"
+#include "market/multi_exchange.h"
 #include "obs/telemetry.h"
 
 namespace fnda {
@@ -37,10 +37,6 @@ struct ThroughputConfig {
   /// Completed rounds retained per shard; bounds memory in long sessions.
   std::size_t retained_rounds = 2;
   std::uint64_t seed = 1;
-  /// Adaptive epoch windows (MultiExchangeConfig::adaptive_epochs); off
-  /// forces the fixed-lookahead schedule — the bench's barrier-crossing
-  /// baseline.  Either setting is bit-identical for every `threads`.
-  bool adaptive = true;
   /// ZI valuation range (units).
   std::int64_t value_low = 1;
   std::int64_t value_high = 100;
@@ -66,10 +62,8 @@ struct ThroughputResult {
   /// entries shifted, tie fixups; sorts_at_close stays 0 — the bench
   /// records these as the zero-sort-at-close evidence).
   LiveBookStats book{};
-  /// Epoch-driver counters accumulated across the whole session: epochs,
-  /// injections, barrier crossings, widened windows.  Identical for
-  /// every `threads` value; the bench's adaptive-vs-fixed comparison
-  /// reads `epoch.barriers`.
+  /// Fork-join drives across the whole session (one join each);
+  /// identical for every `threads` value.
   EpochStats epoch{};
   /// Unified session metrics (empty when telemetry was disabled), merged
   /// driver-then-shards in shard order at session end.

@@ -3,7 +3,7 @@
 // Every hot component of the sharded exchange owns (or binds into) one
 // MetricsRegistry per shard.  A registry is deliberately NOT thread-safe:
 // a shard's registry is touched only by the worker thread that owns the
-// shard (or by the epoch barrier's single-threaded completion step), so
+// shard (or by the driving thread while every shard is quiescent), so
 // recording is a plain 64-bit increment — lock-free by construction, the
 // same discipline the per-shard BusStats counters already follow.
 // Cross-shard aggregation happens only on quiescent snapshots, merged in
@@ -12,9 +12,9 @@
 //
 // Determinism contract: nothing recorded into a registry on the
 // simulation path may derive from the wall clock — histogram samples are
-// sim-time durations (delivery latency, epoch advance) or pure counts
-// (batch sizes, queue depths).  Wall-clock instrumentation (barrier
-// stalls, round-close CPU time) is opt-in behind the session's wallclock
+// sim-time durations (delivery latency) or pure counts (batch sizes,
+// queue depths).  Wall-clock instrumentation (join waits, round-close CPU
+// time) is opt-in behind the session's wallclock
 // flag and documented as nondeterministic.
 //
 // Compiling with -DFNDA_NO_TELEMETRY turns every recording method into an

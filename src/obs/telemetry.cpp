@@ -31,7 +31,7 @@ MetricsSnapshot SessionTelemetry::merged_snapshot() const {
 
 TraceLog SessionTelemetry::flush_trace() const {
   TraceLog log;
-  log.append(driver_.trace, "epoch-driver");
+  log.append(driver_.trace, "driver");
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     log.append(shards_[s].trace, "shard-" + std::to_string(s));
   }

@@ -1,5 +1,5 @@
 // Session-level telemetry: one metrics registry + trace sink per shard,
-// plus one for the epoch driver, owned as a unit by the exchange.
+// plus one for the driving thread, owned as a unit by the exchange.
 //
 // Aggregation contract: merged_snapshot() folds the driver registry and
 // then every shard registry IN SHARD ORDER; flush_trace() concatenates
@@ -26,7 +26,7 @@ struct TelemetryOptions {
   /// FNDA_NO_TELEMETRY additionally empties the instruments themselves.
   bool enabled = true;
   /// Wall-clock mode: trace timestamps come from the session steady
-  /// clock and the wall-clock histograms (epoch barrier stall,
+  /// clock and the wall-clock histograms (per-shard join wait,
   /// round-close CPU time) are recorded.  Nondeterministic by nature —
   /// never enabled on the replay/digest paths.
   bool wallclock = false;

@@ -1,6 +1,6 @@
 // Chrome trace_event spans for the sharded exchange.
 //
-// Each shard (plus the epoch driver) owns a TraceSink: a fixed-capacity
+// Each shard (plus the driving thread) owns a TraceSink: a fixed-capacity
 // ring of complete ("ph":"X") events recorded by RAII TraceScope spans or
 // by explicit record_span calls.  Timestamps come from the sink's clock —
 // the owning shard's simulated clock by default, so traces are

@@ -139,7 +139,7 @@ Reply ConsoleSession::cmd_run(const Invocation& invocation) {
     }
     ++rounds_run_;
     // One watchdog evaluation per round boundary, on the quiescent merged
-    // snapshot — the epoch-cadence SLO check.
+    // snapshot — the round-cadence SLO check.
     breaches += watchdog_->evaluate(merged_snapshot());
   }
   return ReplyBuilder()
@@ -336,7 +336,7 @@ Reply ConsoleSession::cmd_shard_drain(const Invocation& invocation) {
     return Reply::error("shard out of range (have " +
                         std::to_string(exchange_->shard_count()) + ")");
   }
-  // Drain = pause + run the whole fabric to quiescence: the shard's
+  // Drain = pause + run every shard to quiescence: the shard's
   // in-flight round (if any) clears and nothing new opens on it.
   exchange_->pause_shard(static_cast<std::size_t>(shard));
   exchange_->drive_to_quiescence();
@@ -469,7 +469,7 @@ void ConsoleSession::register_commands() {
       {ParamSpec::integer("shard", 0, 1 << 20, "shard index")}, {},
       &ConsoleSession::cmd_shard_resume);
   add("shard drain", {},
-      "pause a shard and run the fabric to quiescence",
+      "pause a shard and run every shard to quiescence",
       {ParamSpec::integer("shard", 0, 1 << 20, "shard index")}, {},
       &ConsoleSession::cmd_shard_drain);
   add("config show", {"cs"},

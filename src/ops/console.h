@@ -3,7 +3,7 @@
 // The session owns an exchange plus a population of truthful traders (the
 // same workload shape as run_throughput_session) and exposes the typed
 // command plane against it.  Commands only ever run between drives — the
-// exchange is quiescent at every epoch barrier run_round leaves behind —
+// exchange is quiescent at every join run_round leaves behind —
 // so every reply reads a deterministic snapshot and the whole transcript
 // (replies AND the exchange digest) is byte-identical for every worker
 // thread count.  Runtime config changes stage through RuntimeConfig and

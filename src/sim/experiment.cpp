@@ -47,9 +47,10 @@ struct ClearScratch {
 /// The truthful book is ranked once from `pareto_rng` and the resulting
 /// SortedBook feeds the Pareto surplus AND every protocol's
 /// `clear_sorted`; protocol p draws its internal randomness from a stream
-/// split off `clear_seed` by index.  No hashing: every outcome is
-/// validated against the ranking through the dense id-indexed overload,
-/// and fills are scored by identity index into the instance's values.
+/// split off `clear_seed` by index.  No hashing: the ranking's id-indexed
+/// validation lanes are bound once per instance and every outcome is
+/// validated against them, and fills are scored by identity index into
+/// the instance's values.
 void score_instance(const SingleUnitInstance& instance,
                     const std::vector<const DoubleAuctionProtocol*>& protocols,
                     const ExperimentConfig& config, Rng& pareto_rng,
@@ -61,13 +62,14 @@ void score_instance(const SingleUnitInstance& instance,
   result.pareto.add(efficient_surplus(true_book));
   result.pareto_trades.add(
       static_cast<double>(true_book.efficient_trade_count()));
+  if (config.validate) bind_validation_scratch(true_book, scratch.validation);
 
   for (std::size_t p = 0; p < protocols.size(); ++p) {
     Rng clear_rng(clear_seed ^ (kStreamGamma * (p + 1)));
     const Outcome outcome = protocols[p]->clear_sorted(true_book, clear_rng);
     if (config.validate) {
-      expect_valid_outcome(true_book, outcome, scratch.validation,
-                           config.validation);
+      expect_valid_bound_outcome(true_book, outcome, scratch.validation,
+                                 config.validation);
     }
     const SurplusReport surplus = realized_surplus(outcome, instance);
     ProtocolSummary& summary = result.protocols[p];

@@ -372,13 +372,13 @@ TEST(CliTest, ConsoleSloFileOverridesDefaults) {
   {
     std::ofstream file(path);
     file << "# comment lines are skipped\n"
-            "tight max(fnda_epoch_total) <= 0\n";
+            "tight max(fnda_epoch_barriers_total) <= 0\n";
   }
   const CliRun result =
       run({"console", "--shards", "2", "--slo-file", path},
           "run 2\nhealth\nquit\n");
   EXPECT_EQ(result.exit_code, 0) << result.err;
-  EXPECT_NE(result.out.find("tight max(fnda_epoch_total) <= 0"),
+  EXPECT_NE(result.out.find("tight max(fnda_epoch_barriers_total) <= 0"),
             std::string::npos);
   EXPECT_NE(result.out.find("breaches_total: 2"), std::string::npos);
   std::remove(path.c_str());

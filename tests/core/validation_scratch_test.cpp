@@ -3,7 +3,8 @@
 // ValidationErrors, in the same order, for valid outcomes, for every
 // violation kind, for books that repeat a bid id (the first occurrence
 // wins in both), and for books whose sparse ids force the hashed
-// fallback.  The experiment runner validates every clearing through it.
+// fallback.  The experiment runner binds each instance's ranking once
+// and validates every protocol's clearing against the bound lanes.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -262,6 +263,93 @@ TEST(DenseValidationTest, ReusedScratchCarriesNothingAcrossBooks) {
   once.add_sell(f.sell_low, IdentityId{10}, money(5));
   EXPECT_TRUE(expect_same_errors(f.sorted, once, scratch, {}, &f.raw).empty());
   EXPECT_TRUE(expect_same_errors(f.sorted, once, scratch, {}, &f.raw).empty());
+}
+
+TEST(DenseValidationTest, BindOnceThenValidateManyMatchesFreshValidations) {
+  Fixture f;
+  Outcome valid;
+  valid.add_buy(f.buy_high, IdentityId{0}, money(5));
+  valid.add_sell(f.sell_low, IdentityId{10}, money(5));
+  Outcome double_fill;
+  double_fill.add_buy(f.buy_high, IdentityId{0}, money(5));
+  double_fill.add_buy(f.buy_high, IdentityId{0}, money(5));
+  double_fill.add_sell(f.sell_low, IdentityId{10}, money(5));
+  double_fill.add_sell(f.sell_high, IdentityId{11}, money(5));
+  Outcome unknown;
+  unknown.add_buy(BidId{999}, IdentityId{0}, money(5));
+  unknown.add_sell(f.sell_low, IdentityId{10}, money(5));
+  Outcome everything;
+  everything.add_buy(f.buy_low, IdentityId{5}, money(6));
+  everything.add_buy(f.buy_low, IdentityId{1}, money(1));
+  everything.add_buy(BidId{12345}, IdentityId{0}, money(1));
+  everything.add_sell(f.sell_high, IdentityId{11}, money(7));
+  Outcome seller_ir;
+  seller_ir.add_buy(f.buy_high, IdentityId{0}, money(9));
+  seller_ir.add_sell(f.sell_high, IdentityId{11}, money(3));
+  // Violations back to back and between valid outcomes: a fill count
+  // left behind by one outcome would show up in the next as a spurious
+  // "filled more than once".
+  const std::vector<const Outcome*> outcomes = {
+      &valid,      &double_fill, &valid, &double_fill, &double_fill,
+      &unknown,    &valid,       &everything, &everything, &valid,
+      &seller_ir,  &valid};
+
+  ValidationScratch bound;
+  bind_validation_scratch(f.sorted, bound);
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "outcome " << i);
+    ValidationScratch fresh;
+    EXPECT_EQ(validate_bound_outcome(f.sorted, *outcomes[i], bound),
+              validate_outcome(f.sorted, *outcomes[i], fresh));
+  }
+  EXPECT_THROW(expect_valid_bound_outcome(f.sorted, double_fill, bound),
+               std::logic_error);
+  EXPECT_NO_THROW(expect_valid_bound_outcome(f.sorted, valid, bound));
+
+  // Every protocol's outcome on random books, one bind per book, sparse
+  // ids (the hashed fallback) included.
+  const TpdProtocol tpd(money(50));
+  const PmdProtocol pmd;
+  const KDoubleAuction kda(0.5);
+  const VcgDoubleAuction vcg;
+  const TpdWithRebates tpd_rebate(money(50));
+  const std::vector<const DoubleAuctionProtocol*> protocols = {
+      &tpd, &pmd, &kda, &vcg, &tpd_rebate};
+  Rng rng(0xb17d);
+  for (int trial = 0; trial < 30; ++trial) {
+    SingleUnitInstance instance;
+    for (std::size_t i = rng.below(30); i > 0; --i) {
+      instance.buyer_values.push_back(
+          Money::from_units(static_cast<std::int64_t>(rng.below(101))));
+    }
+    for (std::size_t j = rng.below(30); j > 0; --j) {
+      instance.seller_values.push_back(
+          Money::from_units(static_cast<std::int64_t>(rng.below(101))));
+    }
+    const SortedBook sorted(instantiate_truthful(instance).book, rng);
+    bind_validation_scratch(sorted, bound);
+    for (const DoubleAuctionProtocol* protocol : protocols) {
+      SCOPED_TRACE(testing::Message()
+                   << protocol->name() << " trial " << trial);
+      Rng clear_rng(rng());
+      const Outcome outcome = protocol->clear_sorted(sorted, clear_rng);
+      ValidationScratch fresh;
+      EXPECT_EQ(validate_bound_outcome(sorted, outcome, bound),
+                validate_outcome(sorted, outcome, fresh));
+      EXPECT_EQ(validate_bound_outcome(sorted, double_fill, bound),
+                validate_outcome(sorted, double_fill, fresh));
+    }
+  }
+  const SortedBook sparse = SortedBook::from_ranked(
+      {}, {{BidId{4'000'000'000ull}, IdentityId{0}, money(9)}},
+      {{BidId{123'456'789ull}, IdentityId{10}, money(2)}});
+  bind_validation_scratch(sparse, bound);
+  EXPECT_FALSE(bound.dense);
+  for (const Outcome* outcome : outcomes) {
+    ValidationScratch fresh;
+    EXPECT_EQ(validate_bound_outcome(sparse, *outcome, bound),
+              validate_outcome(sparse, *outcome, fresh));
+  }
 }
 
 }  // namespace

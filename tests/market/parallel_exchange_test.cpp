@@ -2,9 +2,9 @@
 //
 // The contract under test: the parallel engine's output is a pure
 // function of (config, seed) — bit-identical for every worker-thread
-// count, equal to the pre-change engines at equal seeds — and failure
-// modes (full mailboxes, throwing handlers) stay deterministic and
-// propagate cleanly.
+// count, equal to the pre-change engines at equal seeds — bounded drives
+// stop each shard exactly at its bound, and a throwing handler propagates
+// cleanly without poisoning the next drive.
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
@@ -14,9 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "market/epoch.h"
 #include "market/exchange.h"
-#include "market/fabric.h"
 #include "market/multi_exchange.h"
 #include "market/throughput.h"
 #include "protocols/tpd.h"
@@ -48,15 +46,10 @@ constexpr GoldenRound kGoldenRounds[4] = {
 };
 
 MultiServerExchange make_golden_exchange(const TpdProtocol& tpd,
-                                         std::size_t threads,
-                                         bool adaptive = true,
-                                         std::size_t mailbox_capacity =
-                                             std::size_t{1} << 16) {
+                                         std::size_t threads) {
   MultiExchangeConfig config;
   config.shards = 4;
   config.threads = threads;
-  config.adaptive_epochs = adaptive;
-  config.mailbox_capacity = mailbox_capacity;
   config.seed = 42;
   config.bus.base_latency = SimTime{1000};
   config.bus.jitter = SimTime{0};
@@ -84,16 +77,13 @@ std::uint64_t fill_hash(const Outcome& outcome) {
   return hash;
 }
 
-// (threads, adaptive): the digest must hold for every worker count with
-// adaptive epoch windows on AND off — widening may only change *when*
-// events run relative to the barriers, never what they compute.
-class GoldenDigestTest
-    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
+// The digest must hold for every worker count.
+class GoldenDigestTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(GoldenDigestTest, MatchesPreChangeEngine) {
-  const auto [threads, adaptive] = GetParam();
+  const std::size_t threads = GetParam();
   const TpdProtocol tpd(money(50));
-  MultiServerExchange exchange = make_golden_exchange(tpd, threads, adaptive);
+  MultiServerExchange exchange = make_golden_exchange(tpd, threads);
 
   for (std::size_t r = 0; r < 3; ++r) {
     const std::vector<RoundId> rounds = exchange.run_round();
@@ -120,7 +110,6 @@ TEST_P(GoldenDigestTest, MatchesPreChangeEngine) {
   EXPECT_EQ(bus.duplicated, 0u);
   EXPECT_EQ(bus.dropped, 0u);
   EXPECT_EQ(bus.dead_lettered, 0u);
-  EXPECT_EQ(bus.forwarded, 0u);  // account-hash routing is shard-local
   EXPECT_EQ(exchange.now(), SimTime{303000});
 
   EXPECT_EQ(exchange.merged_audit().size(), 507u);
@@ -139,11 +128,9 @@ TEST_P(GoldenDigestTest, MatchesPreChangeEngine) {
 }
 
 // threads > shards exercises the clamp; the engine must not care.
-INSTANTIATE_TEST_SUITE_P(
-    ThreadCounts, GoldenDigestTest,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{8}),
-                       ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, GoldenDigestTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{8}));
 
 // ---------------------------------------------------------------------------
 // Full bit-identity across thread counts, on a lossy/jittery bus so every
@@ -168,35 +155,14 @@ struct SessionDigest {
   bool operator==(const SessionDigest&) const = default;
 };
 
-SessionDigest run_lossy_session(std::size_t threads) {
-  const TpdProtocol tpd(money(50));
-  MultiExchangeConfig config;
-  config.shards = 4;
-  config.threads = threads;
-  config.seed = 1234;
-  config.bus.jitter = SimTime{500};
-  config.bus.drop_probability = 0.02;
-  config.bus.duplicate_probability = 0.02;
-  config.client.retry_interval = SimTime::millis(20);
-  config.server.domain = ValueDomain{money(0), money(100)};
-  config.server.announce_interval = SimTime::millis(25);
-  MultiServerExchange exchange(tpd, config);
-
-  for (std::size_t i = 0; i < 160; ++i) {
-    const Side role = (i % 2 == 0) ? Side::kBuyer : Side::kSeller;
-    const Money value =
-        money(role == Side::kBuyer
-                  ? 30 + static_cast<std::int64_t>((i * 11) % 70)
-                  : 1 + static_cast<std::int64_t>((i * 13) % 60));
-    TradingClient& trader = exchange.add_trader(role, value);
-    if (role == Side::kSeller) exchange.grant_goods(trader.account(), 3);
-  }
-
+/// Digests a finished session: `rounds` are the per-round shard ids it
+/// ran; closes the market.
+SessionDigest digest_session(MultiServerExchange& exchange,
+                             const std::vector<std::vector<RoundId>>& rounds) {
   SessionDigest digest;
-  for (std::size_t r = 0; r < 4; ++r) {
-    const std::vector<RoundId> rounds = exchange.run_round();
-    for (std::size_t s = 0; s < rounds.size(); ++s) {
-      if (const Outcome* outcome = exchange.server(s).outcome_of(rounds[s])) {
+  for (const std::vector<RoundId>& round : rounds) {
+    for (std::size_t s = 0; s < round.size(); ++s) {
+      if (const Outcome* outcome = exchange.server(s).outcome_of(round[s])) {
         for (const Fill& fill : outcome->fills()) {
           digest.fills.emplace_back(fill.identity.value(),
                                     fill.price.micros(),
@@ -224,6 +190,41 @@ SessionDigest run_lossy_session(std::size_t threads) {
   digest.exchange_cash = exchange.cash_balance(AccountId{0}).micros();
   digest.now = exchange.now().micros;
   digest.refunded = exchange.close_market().micros();
+  return digest;
+}
+
+MultiServerExchange make_lossy_exchange(const TpdProtocol& tpd,
+                                        std::size_t threads) {
+  MultiExchangeConfig config;
+  config.shards = 4;
+  config.threads = threads;
+  config.seed = 1234;
+  config.bus.jitter = SimTime{500};
+  config.bus.drop_probability = 0.02;
+  config.bus.duplicate_probability = 0.02;
+  config.client.retry_interval = SimTime::millis(20);
+  config.server.domain = ValueDomain{money(0), money(100)};
+  config.server.announce_interval = SimTime::millis(25);
+  MultiServerExchange exchange(tpd, config);
+
+  for (std::size_t i = 0; i < 160; ++i) {
+    const Side role = (i % 2 == 0) ? Side::kBuyer : Side::kSeller;
+    const Money value =
+        money(role == Side::kBuyer
+                  ? 30 + static_cast<std::int64_t>((i * 11) % 70)
+                  : 1 + static_cast<std::int64_t>((i * 13) % 60));
+    TradingClient& trader = exchange.add_trader(role, value);
+    if (role == Side::kSeller) exchange.grant_goods(trader.account(), 3);
+  }
+  return exchange;
+}
+
+SessionDigest run_lossy_session(std::size_t threads) {
+  const TpdProtocol tpd(money(50));
+  MultiServerExchange exchange = make_lossy_exchange(tpd, threads);
+  std::vector<std::vector<RoundId>> rounds;
+  for (std::size_t r = 0; r < 4; ++r) rounds.push_back(exchange.run_round());
+  const SessionDigest digest = digest_session(exchange, rounds);
 
   // Merged conservation must hold no matter what the bus dropped/duped.
   const BusStats bus = exchange.bus_stats();
@@ -344,7 +345,6 @@ TEST(ParallelExchangeTest, SingleShardMatchesExchangeSimulation) {
   EXPECT_EQ(got.duplicated, want.duplicated);
   EXPECT_EQ(got.dropped, want.dropped);
   EXPECT_EQ(got.dead_lettered, want.dead_lettered);
-  EXPECT_EQ(got.forwarded, 0u);
 
   // The audit logs must match line for line — timestamps, identity ids,
   // amounts, order.
@@ -353,339 +353,199 @@ TEST(ParallelExchangeTest, SingleShardMatchesExchangeSimulation) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-shard traffic: ping-pong between endpoints on different shards
-// exercises forward/inject and must be bit-identical across thread counts
-// even with latency jitter and duplicates in play.
+// Bounded drives: shard s executes only events strictly before bounds[s],
+// the rest stay queued, and finishing the round afterwards is
+// indistinguishable from having driven it unbounded.
 
-struct PingPong : Endpoint {
-  MessageBus* bus = nullptr;
-  AddressId self;
-  AddressId peer;
-  std::vector<std::tuple<std::int64_t, std::uint64_t, std::uint64_t>> log;
+TEST(ParallelExchangeTest, BoundedDriveStopsAtEachShardBound) {
+  const TpdProtocol tpd(money(50));
+  const SessionDigest reference = run_lossy_session(1);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    MultiServerExchange exchange = make_lossy_exchange(tpd, threads);
+    std::vector<std::vector<RoundId>> rounds;
+    for (std::size_t r = 0; r < 4; ++r) {
+      rounds.push_back(exchange.open_rounds(SimTime::millis(100)));
+      // A different bound per shard, inside the round, with one marker
+      // event just before it and one exactly on it.
+      std::vector<SimTime> bounds;
+      std::vector<int> before(exchange.shard_count(), 0);
+      std::vector<int> at(exchange.shard_count(), 0);
+      for (std::size_t s = 0; s < exchange.shard_count(); ++s) {
+        const SimTime bound =
+            *exchange.server(s).round_closes_at() -
+            SimTime::millis(10 * static_cast<std::int64_t>(s + 1));
+        bounds.push_back(bound);
+        exchange.queue(s).schedule_at(bound - SimTime{1},
+                                      [&before, s] { ++before[s]; });
+        exchange.queue(s).schedule_at(bound, [&at, s] { ++at[s]; });
+      }
+      exchange.drive_until(bounds);
+      for (std::size_t s = 0; s < exchange.shard_count(); ++s) {
+        EXPECT_EQ(before[s], 1) << "threads=" << threads << " shard " << s;
+        EXPECT_EQ(at[s], 0) << "threads=" << threads << " shard " << s;
+        EXPECT_EQ(exchange.queue(s).now(), bounds[s] - SimTime{1});
+        EXPECT_EQ(exchange.queue(s).next_time(), bounds[s]);
+        EXPECT_TRUE(exchange.server(s).round_open());
+      }
+      exchange.drive_to_quiescence();
+      for (std::size_t s = 0; s < exchange.shard_count(); ++s) {
+        EXPECT_EQ(at[s], 1) << "threads=" << threads << " shard " << s;
+      }
+    }
+    EXPECT_EQ(exchange.epoch_totals().barriers, 8u);
+    EXPECT_EQ(digest_session(exchange, rounds), reference)
+        << "threads=" << threads;
+  }
+}
 
-  void on_message(const Envelope& envelope) override {
-    const auto& msg = std::get<RoundOpenMsg>(envelope.payload);
-    log.emplace_back(envelope.delivered_at.micros, envelope.id.value(),
-                     msg.round.value());
-    if (msg.round.value() > 0) {
-      bus->send(self, peer,
-                RoundOpenMsg{RoundId{msg.round.value() - 1},
-                             envelope.delivered_at});
+TEST(ParallelExchangeTest, BoundedDriveNeedsOneBoundPerShard) {
+  const TpdProtocol tpd(money(50));
+  MultiServerExchange exchange = make_golden_exchange(tpd, 2);
+  EXPECT_THROW(exchange.drive_until({SimTime{1}}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Failure: an exception inside one shard's endpoint stops that shard, lets
+// every other shard finish its drive, and resurfaces on the driving
+// thread; when several shards fail, the lowest-index failure wins.
+
+struct ThrowingEndpoint : Endpoint {
+  std::string what;
+  void on_message(const Envelope&) override {
+    throw std::runtime_error(what);
+  }
+};
+
+struct CountingEndpoint : Endpoint {
+  std::size_t received = 0;
+  void on_message(const Envelope&) override { ++received; }
+};
+
+MultiExchangeConfig faulty_config(std::size_t threads) {
+  MultiExchangeConfig config;
+  config.shards = 4;
+  config.threads = threads;
+  config.seed = 9;
+  config.server.domain = ValueDomain{money(0), money(100)};
+  return config;
+}
+
+/// A 4-shard exchange with a counting endpoint on every shard and a
+/// throwing one on shards 2 and 3.
+struct FaultyExchange {
+  static constexpr std::size_t kShards = 4;
+
+  FaultyExchange(const TpdProtocol& tpd, std::size_t threads)
+      : exchange(tpd, faulty_config(threads)) {
+    for (std::size_t s = 0; s < kShards; ++s) {
+      counter_ids[s] = exchange.bus(s).attach("counter", counters[s]);
+    }
+    for (const std::size_t s : {std::size_t{2}, std::size_t{3}}) {
+      throwers[s].what = "shard " + std::to_string(s);
+      thrower_ids[s] = exchange.bus(s).attach("thrower", throwers[s]);
     }
   }
-};
 
-struct PairDigest {
-  std::vector<std::tuple<std::int64_t, std::uint64_t, std::uint64_t>> log_a;
-  std::vector<std::tuple<std::int64_t, std::uint64_t, std::uint64_t>> log_b;
-  BusStats stats_a;
-  BusStats stats_b;
-};
-
-PairDigest run_ping_pong(std::size_t threads, std::size_t mailbox_capacity,
-                         BusConfig bus_config) {
-  Fabric fabric(2, mailbox_capacity);
-  EventQueue queue_a;
-  EventQueue queue_b;
-  BusConfig config_a = bus_config;
-  config_a.first_message_id = 0;
-  config_a.message_id_stride = 2;
-  BusConfig config_b = bus_config;
-  config_b.first_message_id = 1;
-  config_b.message_id_stride = 2;
-  MessageBus bus_a(queue_a, config_a, Rng(11), fabric, 0);
-  MessageBus bus_b(queue_b, config_b, Rng(22), fabric, 1);
-
-  PingPong a;
-  PingPong b;
-  a.bus = &bus_a;
-  b.bus = &bus_b;
-  a.self = bus_a.attach("a", a);
-  b.self = bus_b.attach("b", b);
-  a.peer = b.self;
-  b.peer = a.self;
-
-  // Two independent volleys kicked off from events on each shard.
-  queue_a.schedule_at(SimTime{10}, [&] {
-    bus_a.send(a.self, a.peer, RoundOpenMsg{RoundId{6}, SimTime{10}});
-  });
-  queue_b.schedule_at(SimTime{15}, [&] {
-    bus_b.send(b.self, b.peer, RoundOpenMsg{RoundId{5}, SimTime{15}});
-  });
-
-  EpochDriver driver(fabric, {{&queue_a, &bus_a}, {&queue_b, &bus_b}},
-                     bus_config.base_latency);
-  driver.drive(threads);
-
-  PairDigest digest;
-  digest.log_a = a.log;
-  digest.log_b = b.log;
-  digest.stats_a = bus_a.stats();
-  digest.stats_b = bus_b.stats();
-  return digest;
-}
-
-TEST(ParallelExchangeTest, CrossShardPingPongDeterministicAcrossThreads) {
-  BusConfig bus;
-  bus.jitter = SimTime{300};
-  bus.duplicate_probability = 0.1;
-
-  const PairDigest one = run_ping_pong(1, 1 << 10, bus);
-  const PairDigest two = run_ping_pong(2, 1 << 10, bus);
-
-  EXPECT_FALSE(one.log_a.empty());
-  EXPECT_FALSE(one.log_b.empty());
-  EXPECT_EQ(one.log_a, two.log_a);
-  EXPECT_EQ(one.log_b, two.log_b);
-  EXPECT_GT(one.stats_a.forwarded, 0u);
-  EXPECT_EQ(one.stats_a.forwarded, two.stats_a.forwarded);
-  EXPECT_EQ(one.stats_b.forwarded, two.stats_b.forwarded);
-  EXPECT_EQ(one.stats_a.sent, two.stats_a.sent);
-  EXPECT_EQ(one.stats_b.sent, two.stats_b.sent);
-
-  // Merged conservation with every message crossing shards.
-  for (const PairDigest* digest : {&one, &two}) {
-    const std::size_t sent = digest->stats_a.sent + digest->stats_b.sent;
-    const std::size_t duplicated =
-        digest->stats_a.duplicated + digest->stats_b.duplicated;
-    const std::size_t delivered =
-        digest->stats_a.delivered + digest->stats_b.delivered;
-    const std::size_t dropped =
-        digest->stats_a.dropped + digest->stats_b.dropped;
-    const std::size_t dead =
-        digest->stats_a.dead_lettered + digest->stats_b.dead_lettered;
-    EXPECT_EQ(sent + duplicated, delivered + dropped + dead);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Backpressure: a full mailbox rejects the push and the sender accounts
-// the message dropped — the same count on every thread count.
-
-struct FloodSource : Endpoint {
-  void on_message(const Envelope&) override {}
-};
-
-TEST(ParallelExchangeTest, MailboxBackpressureDropsDeterministically) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    Fabric fabric(2, 4);  // tiny ring: 4 slots
-    EventQueue queue_a;
-    EventQueue queue_b;
-    MessageBus bus_a(queue_a, BusConfig{}, Rng(3), fabric, 0);
-    MessageBus bus_b(queue_b, BusConfig{}, Rng(4), fabric, 1);
-
-    FloodSource source;
-    FloodSource sink;
-    const AddressId from = bus_a.attach("source", source);
-    const AddressId to = bus_b.attach("sink", sink);
-
-    queue_a.schedule_at(SimTime{1}, [&] {
-      for (int i = 0; i < 10; ++i) {
-        bus_a.send(from, to, RoundOpenMsg{RoundId{0}, SimTime{1}});
+  /// Every counter gets a message now and another one second later; the
+  /// throwers get theirs 10 ms in, between the two.
+  void load() {
+    const RoundOpenMsg msg{RoundId{0}, SimTime{}};
+    for (std::size_t s = 0; s < kShards; ++s) {
+      MessageBus& bus = exchange.bus(s);
+      EventQueue& queue = exchange.queue(s);
+      const AddressId counter = counter_ids[s];
+      bus.send(counter, counter, msg);
+      if (s >= 2) {
+        queue.schedule_at(queue.now() + SimTime::millis(10),
+                          [&bus, counter, to = thrower_ids[s], msg] {
+                            bus.send(counter, to, msg);
+                          });
       }
-    });
-
-    EpochDriver driver(fabric, {{&queue_a, &bus_a}, {&queue_b, &bus_b}},
-                       SimTime{1000});
-    driver.drive(threads);
-
-    const BusStats& stats_a = bus_a.stats();
-    const BusStats& stats_b = bus_b.stats();
-    EXPECT_EQ(stats_a.sent, 10u) << "threads=" << threads;
-    EXPECT_EQ(stats_a.forwarded, 10u);
-    EXPECT_EQ(stats_a.mailbox_overflow, 6u);  // 4 fit, 6 rejected
-    EXPECT_EQ(stats_a.dropped, 6u);
-    EXPECT_EQ(stats_b.delivered, 4u);
-    EXPECT_EQ(stats_a.sent + stats_a.duplicated,
-              stats_b.delivered + stats_a.dropped + stats_b.dead_lettered);
+      queue.schedule_at(queue.now() + SimTime::seconds(1),
+                        [&bus, counter, msg] { bus.send(counter, counter, msg); });
+    }
   }
-}
 
-// ---------------------------------------------------------------------------
-// Torn epoch: an exception inside a shard's event handler must stop every
-// worker at the next barrier and resurface on the driving thread.
+  MultiServerExchange exchange;
+  CountingEndpoint counters[kShards];
+  AddressId counter_ids[kShards];
+  ThrowingEndpoint throwers[kShards];
+  AddressId thrower_ids[kShards];
+};
 
 TEST(ParallelExchangeTest, WorkerExceptionPropagatesCleanly) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    Fabric fabric(2, 64);
-    EventQueue queue_a;
-    EventQueue queue_b;
-    MessageBus bus_a(queue_a, BusConfig{}, Rng(5), fabric, 0);
-    MessageBus bus_b(queue_b, BusConfig{}, Rng(6), fabric, 1);
-
-    queue_a.schedule_at(SimTime{5}, [] {
-      throw std::runtime_error("torn epoch");
-    });
-    bool other_ran = false;
-    queue_b.schedule_at(SimTime{5}, [&] { other_ran = true; });
-    // Work far in the future that must never run once shard 0 failed.
-    bool late_ran = false;
-    queue_b.schedule_at(SimTime::seconds(10), [&] { late_ran = true; });
-
-    EpochDriver driver(fabric, {{&queue_a, &bus_a}, {&queue_b, &bus_b}},
-                       SimTime{1000});
-    EXPECT_THROW(driver.drive(threads), std::runtime_error)
-        << "threads=" << threads;
-    EXPECT_FALSE(late_ran);
-    EXPECT_TRUE(other_ran);  // the in-flight epoch itself completes
+  const TpdProtocol tpd(money(50));
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    FaultyExchange faulty(tpd, threads);
+    faulty.load();
+    try {
+      faulty.exchange.drive_to_quiescence();
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "shard 2") << "threads=" << threads;
+    }
+    // Healthy shards ran to quiescence; the failed ones stopped at the
+    // throw and kept their later work queued.
+    for (std::size_t s = 0; s < FaultyExchange::kShards; ++s) {
+      const bool failed = s >= 2;
+      EXPECT_EQ(faulty.counters[s].received, failed ? 1u : 2u)
+          << "threads=" << threads << " shard " << s;
+      EXPECT_EQ(faulty.exchange.queue(s).pending(), failed ? 1u : 0u)
+          << "threads=" << threads << " shard " << s;
+    }
   }
 }
 
-// Drive after a failed drive keeps working (errors are per-drive state).
+// A drive after a failed drive resumes the failed shards' queued work
+// (without replaying the delivery that threw) and the exchange keeps
+// trading: errors are per-drive state.
 TEST(ParallelExchangeTest, DriverRecoversAfterFailure) {
-  Fabric fabric(1, 64);
-  EventQueue queue;
-  MessageBus bus(queue, BusConfig{}, Rng(8), fabric, 0);
-  queue.schedule_at(SimTime{1}, [] { throw std::logic_error("boom"); });
-  EpochDriver driver(fabric, {{&queue, &bus}}, SimTime{1000});
-  EXPECT_THROW(driver.drive(1), std::logic_error);
-
-  bool ran = false;
-  queue.schedule_at(SimTime{2}, [&] { ran = true; });
-  driver.drive(1);
-  EXPECT_TRUE(ran);
+  const TpdProtocol tpd(money(50));
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    FaultyExchange faulty(tpd, threads);
+    MultiServerExchange& exchange = faulty.exchange;
+    for (std::size_t i = 0; i < 40; ++i) {
+      exchange.add_trader(i % 2 == 0 ? Side::kBuyer : Side::kSeller,
+                          money(i % 2 == 0 ? 80 : 20));
+    }
+    faulty.load();
+    EXPECT_THROW(exchange.drive_to_quiescence(), std::runtime_error);
+    exchange.drive_to_quiescence();
+    for (std::size_t s = 0; s < FaultyExchange::kShards; ++s) {
+      EXPECT_EQ(faulty.counters[s].received, 2u)
+          << "threads=" << threads << " shard " << s;
+      EXPECT_EQ(exchange.queue(s).pending(), 0u);
+    }
+    const std::vector<RoundId> rounds = exchange.run_round();
+    std::size_t trades = 0;
+    for (std::size_t s = 0; s < rounds.size(); ++s) {
+      const Outcome* outcome = exchange.server(s).outcome_of(rounds[s]);
+      ASSERT_NE(outcome, nullptr) << "threads=" << threads << " shard " << s;
+      trades += outcome->trade_count();
+    }
+    EXPECT_GT(trades, 0u);
+    EXPECT_EQ(exchange.epoch_totals().barriers, 3u);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Epoch accounting: barrier crossings are a deterministic function of the
-// workload — identical at every thread count — and the adaptive window
-// policy must cut them at least in half on the identity-partitioned
-// default workload without changing one observable output.
+// Drive accounting: one join per drive, whatever the thread count.
 
-TEST(ParallelExchangeTest, EpochStatsThreadInvariantAndAdaptiveCutsBarriers) {
+TEST(ParallelExchangeTest, EpochStatsCountOneJoinPerDrive) {
   const TpdProtocol tpd(money(50));
   ThroughputConfig config;
   config.clients = 240;
   config.rounds = 3;
   config.shards = 4;
   config.seed = 5;
-
-  ThroughputResult base;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     config.threads = threads;
     const ThroughputResult result = run_throughput_session(tpd, config);
-    if (threads == 1u) {
-      base = result;
-      continue;
-    }
-    EXPECT_EQ(result.epoch.epochs, base.epoch.epochs) << "threads=" << threads;
-    EXPECT_EQ(result.epoch.barriers, base.epoch.barriers)
-        << "threads=" << threads;
-    EXPECT_EQ(result.epoch.widened, base.epoch.widened)
-        << "threads=" << threads;
-    EXPECT_EQ(result.epoch.injected, base.epoch.injected)
-        << "threads=" << threads;
+    EXPECT_EQ(result.epoch.barriers, config.rounds) << "threads=" << threads;
   }
-
-  config.threads = 1;
-  config.adaptive = false;
-  const ThroughputResult fixed = run_throughput_session(tpd, config);
-  EXPECT_EQ(fixed.epoch.widened, 0u);
-  EXPECT_GE(fixed.epoch.barriers, 2 * base.epoch.barriers)
-      << "adaptive windows must cut barrier crossings at least in half";
-  // Same outputs either way: widening only moves barriers, not events.
-  EXPECT_EQ(fixed.bids_accepted, base.bids_accepted);
-  EXPECT_EQ(fixed.trades, base.trades);
-  EXPECT_EQ(fixed.sim_time, base.sim_time);
-  EXPECT_EQ(fixed.bus.sent, base.bus.sent);
-}
-
-// ---------------------------------------------------------------------------
-// The kIsolated topology declaration is enforced, not trusted: a
-// cross-shard send on a fabric declared isolated throws at the sender —
-// deterministically, on every thread count — instead of silently breaking
-// the unbounded-window math.
-
-TEST(ParallelExchangeTest, IsolatedTopologyRejectsCrossShardSends) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    Fabric fabric(2, 64);
-    fabric.set_topology(ShardTopology::kIsolated);
-    EventQueue queue_a;
-    EventQueue queue_b;
-    MessageBus bus_a(queue_a, BusConfig{}, Rng(3), fabric, 0);
-    MessageBus bus_b(queue_b, BusConfig{}, Rng(4), fabric, 1);
-
-    FloodSource source;
-    FloodSource sink;
-    const AddressId from = bus_a.attach("source", source);
-    const AddressId to = bus_b.attach("sink", sink);
-    queue_a.schedule_at(SimTime{1}, [&] {
-      bus_a.send(from, to, RoundOpenMsg{RoundId{0}, SimTime{1}});
-    });
-
-    EpochDriver driver(fabric, {{&queue_a, &bus_a}, {&queue_b, &bus_b}},
-                       SimTime{1000});
-    EXPECT_THROW(driver.drive(threads), std::logic_error)
-        << "threads=" << threads;
-  }
-}
-
-// Same-shard traffic on an isolated fabric stays legal, and the adaptive
-// driver collapses the whole drive into one unbounded epoch (3 barrier
-// crossings: window, drain, final window) instead of stepping
-// lookahead-sized windows across the event horizon.
-
-TEST(ParallelExchangeTest, IsolatedTopologyCollapsesToOneEpoch) {
-  Fabric fabric(2, 64);
-  fabric.set_topology(ShardTopology::kIsolated);
-  EventQueue queue_a;
-  EventQueue queue_b;
-  MessageBus bus_a(queue_a, BusConfig{}, Rng(3), fabric, 0);
-  MessageBus bus_b(queue_b, BusConfig{}, Rng(4), fabric, 1);
-
-  std::vector<std::int64_t> ran_a;
-  std::vector<std::int64_t> ran_b;
-  for (std::int64_t t = 10; t <= 50'010; t += 5'000) {
-    queue_a.schedule_at(SimTime{t}, [&ran_a, t] { ran_a.push_back(t); });
-    queue_b.schedule_at(SimTime{t + 3}, [&ran_b, t] {
-      ran_b.push_back(t + 3);
-    });
-  }
-
-  EpochDriver driver(fabric, {{&queue_a, &bus_a}, {&queue_b, &bus_b}},
-                     SimTime{1000});
-  const EpochStats stats = driver.drive(2);
-  EXPECT_EQ(stats.epochs, 1u);
-  EXPECT_EQ(stats.barriers, 3u);
-  EXPECT_EQ(stats.widened, 1u);
-  EXPECT_EQ(ran_a.size(), 11u);
-  EXPECT_EQ(ran_b.size(), 11u);
-  EXPECT_TRUE(std::is_sorted(ran_a.begin(), ran_a.end()));
-}
-
-// ---------------------------------------------------------------------------
-// Gap widening on a connected fabric: when the two smallest shard heads
-// are >= 2 lookaheads apart, the window stretches to
-// min(m2 - L, m1 + 2L - 1) — fewer epochs than the fixed schedule, same
-// events in the same order.
-
-TEST(ParallelExchangeTest, AdaptiveWindowWidensAcrossIdleGaps) {
-  EpochStats stats[2];
-  std::vector<std::int64_t> ran[2];
-  for (const bool adaptive : {false, true}) {
-    Fabric fabric(2, 64);  // kAllToAll: cross-shard traffic stays legal
-    EventQueue queue_a;
-    EventQueue queue_b;
-    MessageBus bus_a(queue_a, BusConfig{}, Rng(3), fabric, 0);
-    MessageBus bus_b(queue_b, BusConfig{}, Rng(4), fabric, 1);
-
-    // Shard A: a burst of local work; shard B: one far-future event, so
-    // m2 - m1 >= 2L holds throughout A's burst.
-    std::vector<std::int64_t>& log = ran[adaptive];
-    for (std::int64_t t = 10; t < 9'710; t += 500) {
-      queue_a.schedule_at(SimTime{t}, [&log, t] { log.push_back(t); });
-    }
-    queue_b.schedule_at(SimTime{100'000}, [&log] { log.push_back(100'000); });
-
-    EpochDriver driver(fabric, {{&queue_a, &bus_a}, {&queue_b, &bus_b}},
-                       SimTime{1000}, adaptive);
-    stats[adaptive] = driver.drive(1);
-  }
-  EXPECT_EQ(ran[0], ran[1]);
-  EXPECT_EQ(stats[0].widened, 0u);
-  EXPECT_GT(stats[1].widened, 0u);
-  EXPECT_LT(stats[1].epochs, stats[0].epochs);
-  EXPECT_LT(stats[1].barriers, stats[0].barriers);
 }
 
 // ---------------------------------------------------------------------------

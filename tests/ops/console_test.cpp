@@ -174,7 +174,7 @@ TEST(ConsoleSession, HealthBreachCountersAreDeterministic) {
     ConsoleConfig config;
     config.shards = 4;
     config.threads = threads;
-    config.slo_rules = {"rounds max(fnda_epoch_total) <= 0"};
+    config.slo_rules = {"rounds max(fnda_epoch_barriers_total) <= 0"};
     ConsoleSession session(tpd, std::move(config));
     EXPECT_TRUE(session.execute("run 3").ok);
     return session.watchdog().total_breaches();
